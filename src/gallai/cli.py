@@ -78,7 +78,7 @@ def _write(path: str | None, text: str) -> None:
 def cmd_decompose(args) -> int:
     try:
         g = parse_edge_list(_read(args.input))
-    except (GraphError, OSError) as exc:
+    except (GraphError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -34,6 +34,7 @@ from .graph import (
     Path,
     connected_components,
     degeneracy_order,
+    in_one_component,
     is_cut_vertex,
     norm_edge,
     shortest_path,
@@ -211,23 +212,23 @@ class _Engine:
 
     def decompose_view(self, g: Graph) -> tuple[list[Path], list[TraceStep]]:
         """Decompose one connected non-triangle view of the working graph."""
-        nis = [v for v in range(g.n) if g.neighbors(v)]
-        n = len(nis)
+        n = g.non_isolated_count()
         m = g.m
+        # ascending; a connected view on at most 3 vertices has them all here
+        low = sorted(g.low_vertices())
 
         if m == 0:
             return [], []
         if m == 1:
-            (u, v) = next(g.edges())
+            (u, v) = low
             return [Path((u, v))], [self.step("Base", g, {"u": u, "v": v})]
         if n == 3:
             if m == 3:
                 raise _fail("triangle reached the connected dispatcher", [])
-            mid = next(v for v in nis if g.degree(v) == 2)
-            a, b = sorted(set(nis) - {mid})
+            mid = next(v for v in low if g.degree(v) == 2)
+            a, b = (v for v in low if v != mid)
             return [Path((a, mid, b))], [self.step("Base", g, {"mid": mid})]
 
-        low = [v for v in nis if g.degree(v) <= 2]
         if len(low) >= 2:
             paths, steps = self.reduce_two_low_degree(g, low)
         else:
@@ -273,9 +274,25 @@ class _Engine:
     # -- shared machinery ---------------------------------------------------
 
     def recurse_components(
-        self, g: Graph, steps: list[TraceStep], allow_triangles: bool = False
+        self, g: Graph, steps: list[TraceStep], near: Iterable[int]
     ) -> list[Path]:
-        """Decompose each edge-bearing component of g, logging a split."""
+        """Decompose each edge-bearing component of g, logging a split.
+
+        g must come from a connected view by deleting edges, and every
+        edge-bearing component of g must contain a vertex of `near` (an
+        endpoint of each deleted edge will do). Only a split pays for a full
+        component search.
+        """
+        if in_one_component(g, near):
+            # g has at most one edge-bearing component, so it is the view
+            if g.m == 0:
+                return []
+            if g.m == 3 and g.non_isolated_count() == 3:
+                tri = tuple(sorted(g.low_vertices()))
+                raise _fail(f"unexpected triangle component {tri}", steps)
+            sub, sub_steps = self.decompose_view(g)
+            steps.extend(sub_steps)
+            return sub
         comps = [c for c in connected_components(g) if c.m > 0]
         if len(comps) > 1:
             steps.append(
@@ -288,7 +305,7 @@ class _Engine:
             )
         out: list[Path] = []
         for c in comps:
-            if c.is_triangle and not allow_triangles:
+            if c.is_triangle:
                 raise _fail(f"unexpected triangle component {c.vertices}", steps)
             sub, sub_steps = self.decompose_view(c.graph)
             out.extend(sub)
@@ -306,14 +323,20 @@ class _Engine:
         clean_removal: bool,
         **detail,
     ) -> tuple[list[Path], list[TraceStep]]:
-        """Remove pre_removed + carrier, recurse, absorb triangles, reattach."""
+        """Remove pre_removed + carrier, recurse, absorb triangles, reattach.
+
+        g is connected, so every component left by a removal contains an
+        endpoint of a removed edge: the searches start from those alone.
+        """
         trimmed = g.without_edges(pre_removed) if pre_removed else g
         steps: list[TraceStep] = []
-        if clean_removal and triangle_components(trimmed):
+        pre_ends = [w for e in pre_removed for w in e]
+        if clean_removal and triangle_components(trimmed, near=pre_ends):
             raise _fail(f"{tag}: edge removal exposed a triangle component", steps)
 
         remainder = trimmed.without_edges(carrier.edges())
-        tris = tuple(triangle_components(remainder))
+        touched = pre_ends + list(carrier.vertices)
+        tris = tuple(triangle_components(remainder, near=touched))
         plan = RemainderPlan(
             removed=frozenset(pre_removed) | frozenset(carrier.edges()),
             carrier=carrier,
@@ -336,7 +359,7 @@ class _Engine:
         kernel = remainder.without_edges(
             e for t in tris for e in _triangle_edges(t)
         )
-        sub = self.recurse_components(kernel, steps)
+        sub = self.recurse_components(kernel, steps, touched)
         sub = self.apply_reattach(g, sub, reattach, steps)
         absorbed, lemma_steps = self.absorb(carrier, tris, steps)
         steps.extend(lemma_steps)
@@ -503,7 +526,7 @@ class _Engine:
         tag = "Claim1-Cycle3" if len(cyc) == 3 else "Claim1-Cycle4"
         steps = [self.step(tag, g, {"u": u, "v": v}, cycle=list(cyc.ring))]
         rest = g.without_edges(cyc.edges())
-        tris = triangle_components(rest)
+        tris = triangle_components(rest, near=cyc.ring)
         if len(tris) > 1:
             raise _fail("more than one triangle component around the cycle", steps)
 
@@ -527,7 +550,7 @@ class _Engine:
                 )
             )
             leftover = rest.without_edges(_triangle_edges(t))
-            sub = self.recurse_components(leftover, steps)
+            sub = self.recurse_components(leftover, steps, cyc.ring)
             return sub + pair, steps
 
         if rest.m == 0:
@@ -538,7 +561,7 @@ class _Engine:
             arcs = [Path(ring[:3]), Path((ring[2], ring[3], ring[0]))]
             return arcs, steps
 
-        sub = self.recurse_components(rest, steps)
+        sub = self.recurse_components(rest, steps, cyc.ring)
         merged, w_index = _merge_cycle(cyc, sub, u, v)
         steps.append(
             self.step(
@@ -615,7 +638,7 @@ class _Engine:
                 )
             )
             split = g.restricted_to(comp_i.vertices + comp_j.vertices)
-            sub = self.recurse_components(split, steps)
+            sub = self.recurse_components(split, steps, (w, z))
             return sub + [Path((w, x, z)), Path((v, x))], steps
 
         cut_w, sub_comps = is_cut_vertex(comp_j.graph, w)
@@ -1108,10 +1131,10 @@ def merge_cycle_with_triangle(c: Cycle, t: Sequence[int]) -> list[Path]:
 
 def reduce_two_low_degree(g: Graph, u: int, v: int) -> tuple[Decomposition, ReductionTrace]:
     """Run the two-low-vertices branch; (u, v) must be the canonical pair."""
-    low = sorted(w for w in range(g.n) if g.neighbors(w) and g.degree(w) <= 2)
+    low = sorted(g.low_vertices())
     if u not in low or v not in low:
         raise ValueError(f"({u}, {v}) are not both low-degree")
-    eng = _Engine(False)
+    eng = _wrapper_engine(g)
     cu, cv, _ = _closest_pair(g, low)
     if (cu, cv) != (u, v):
         raise ValueError(f"canonical pair is ({cu}, {cv}), not ({u}, {v})")
@@ -1128,7 +1151,7 @@ def reduce_pendant(g: Graph, v: int, x: int, w: int, z: int) -> tuple[Decomposit
     deg3 = [t for t in others if g.degree(t) == 3]
     if not deg3 or (w, z) != (deg3[0], next(t for t in others if t != deg3[0])):
         raise ValueError(f"canonical roles for N({x})-{{{v}}} differ from ({w}, {z})")
-    eng = _Engine(False)
+    eng = _wrapper_engine(g)
     paths, steps = eng.reduce_pendant(g, v)
     return _wrap(g, paths, steps)
 
@@ -1137,7 +1160,7 @@ def reduce_degree2_cut(g: Graph, v: int) -> tuple[Decomposition, ReductionTrace]
     cut, comps = is_cut_vertex(g, v)
     if g.degree(v) != 2 or not cut:
         raise ValueError(f"{v} is not a degree-2 articulation point")
-    eng = _Engine(False)
+    eng = _wrapper_engine(g)
     paths, steps = eng.reduce_degree2_cut(g, v, comps)
     return _wrap(g, paths, steps)
 
@@ -1145,7 +1168,7 @@ def reduce_degree2_cut(g: Graph, v: int) -> tuple[Decomposition, ReductionTrace]
 def reduce_x_cut(g: Graph, v: int, x: int) -> tuple[Decomposition, ReductionTrace]:
     if g.degree(v) != 2 or x not in g.neighbors(v) or g.degree(x) != 3:
         raise ValueError(f"need degree-2 {v} beside degree-3 {x}")
-    eng = _Engine(False)
+    eng = _wrapper_engine(g)
     paths, steps = eng.reduce_x_cut(g, v, x)
     return _wrap(g, paths, steps)
 
@@ -1153,13 +1176,13 @@ def reduce_x_cut(g: Graph, v: int, x: int) -> tuple[Decomposition, ReductionTrac
 def reduce_case_deg3_neighbor(g: Graph, v: int, x: int, z: int) -> tuple[Decomposition, ReductionTrace]:
     if g.degree(x) != 3 or z not in g.neighbors(x) or g.degree(z) != 3:
         raise ValueError("needs a degree-3 support with a degree-3 neighbour")
-    eng = _Engine(False)
+    eng = _wrapper_engine(g)
     paths, steps = eng.reduce_case_deg3_neighbor(g, v, x, z)
     return _wrap(g, paths, steps)
 
 
 def reduce_case_y3(g: Graph, v: int, x: int, y: int, z: int, w: int) -> tuple[Decomposition, ReductionTrace]:
-    eng = _Engine(False)
+    eng = _wrapper_engine(g)
     paths, steps = eng.reduce_case_y3(g, v, x, y)
     head = steps[0].vertices
     if (head["z"], head["w"]) != (z, w):
@@ -1168,11 +1191,19 @@ def reduce_case_y3(g: Graph, v: int, x: int, y: int, z: int, w: int) -> tuple[De
 
 
 def reduce_case_y4(g: Graph, v: int, x: int, y: int, z: int) -> tuple[Decomposition, ReductionTrace]:
-    eng = _Engine(False)
+    eng = _wrapper_engine(g)
     paths, steps = eng.reduce_case_y4(g, v, x, y)
     if steps[0].vertices["z"] != z:
         raise ValueError(f"canonical role is z={steps[0].vertices['z']}")
     return _wrap(g, paths, steps)
+
+
+def _wrapper_engine(g: Graph) -> _Engine:
+    """The branches probe only near what they remove, which finds every
+    component only in a connected view."""
+    if sum(1 for c in connected_components(g) if c.m > 0) > 1:
+        raise ValueError("graph is not connected")
+    return _Engine(False)
 
 
 def _wrap(g: Graph, paths: list[Path], steps: list[TraceStep]) -> tuple[Decomposition, ReductionTrace]:

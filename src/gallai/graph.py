@@ -8,6 +8,7 @@ with no remaining edges is simply isolated, never reindexed.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -49,15 +50,45 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _tally(
+    adj: Sequence[frozenset[int]], vertices: Iterable[int]
+) -> tuple[int, frozenset[int]]:
+    """Non-isolated count and degree-1-or-2 set of `adj`, given `vertices`
+    that include every vertex with edges."""
+    count = 0
+    low: list[int] = []
+    for v in vertices:
+        d = len(adj[v])
+        if d:
+            count += 1
+            if d <= 2:
+                low.append(v)
+    return count, frozenset(low)
+
+
 class Graph:
-    """Immutable undirected simple graph on the vertex universe [0, n)."""
+    """Immutable undirected simple graph on the vertex universe [0, n).
 
-    __slots__ = ("n", "_adj", "m")
+    Besides the adjacency it keeps its non-isolated vertex count and the set
+    of its vertices of degree 1 or 2. Every derived graph updates both from
+    the vertices it touches, so reading them never scans the universe.
+    """
 
-    def __init__(self, n: int, adj: tuple[frozenset[int], ...], m: int):
+    __slots__ = ("n", "_adj", "m", "_count", "_low")
+
+    def __init__(
+        self,
+        n: int,
+        adj: tuple[frozenset[int], ...],
+        m: int,
+        count: int,
+        low: frozenset[int],
+    ):
         self.n = n
         self._adj = adj
         self.m = m
+        self._count = count
+        self._low = low
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
@@ -76,7 +107,8 @@ class Graph:
             sets[u].add(v)
             sets[v].add(u)
             m += 1
-        return cls(n, tuple(frozenset(s) if s else _EMPTY for s in sets), m)
+        adj = tuple(frozenset(s) if s else _EMPTY for s in sets)
+        return cls(n, adj, m, *_tally(adj, range(n)))
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -101,7 +133,28 @@ class Graph:
         return tuple(v for v in range(self.n) if self._adj[v])
 
     def non_isolated_count(self) -> int:
-        return sum(1 for v in range(self.n) if self._adj[v])
+        return self._count
+
+    def low_vertices(self) -> frozenset[int]:
+        """The vertices of degree 1 or 2."""
+        return self._low
+
+    def _derived(self, adj: list[frozenset[int]], touched: Iterable[int], m: int) -> "Graph":
+        """This graph with the adjacency of the `touched` vertices, each
+        listed once, taken from `adj`."""
+        old = self._adj
+        count = self._count
+        flipped: list[int] = []  # vertices entering or leaving the low set
+        for w in touched:
+            now, before = len(adj[w]), len(old[w])
+            count += bool(now) - bool(before)
+            if (0 < now <= 2) != (0 < before <= 2):
+                flipped.append(w)
+        low = self._low
+        if flipped:
+            # copying the large set first keeps its table compact
+            low = frozenset(flipped).symmetric_difference(low)
+        return Graph(self.n, tuple(adj), m, count, low)
 
     def without_edges(self, edges: Iterable[Edge]) -> "Graph":
         """Copy of this graph with the given edges masked out."""
@@ -119,7 +172,7 @@ class Graph:
         for w, gone in removal.items():
             left = adj[w] - gone
             adj[w] = left if left else _EMPTY
-        return Graph(self.n, tuple(adj), self.m - count)
+        return self._derived(adj, removal, self.m - count)
 
     def without_vertex(self, v: int) -> "Graph":
         """Mask every edge incident on v (v stays in the universe, isolated)."""
@@ -134,11 +187,12 @@ class Graph:
             inside = self._adj[v] & keep
             adj[v] = frozenset(inside) if inside else _EMPTY
             m += len(inside)
-        return Graph(self.n, tuple(adj), m // 2)
+        return Graph(self.n, tuple(adj), m // 2, *_tally(adj, keep))
 
     def with_edges(self, edges: Iterable[Edge]) -> "Graph":
         """Copy with extra edges added (used for small reattachment views)."""
         adj = list(self._adj)
+        touched: set[int] = set()
         added = 0
         for u, v in edges:
             if u == v:
@@ -147,8 +201,9 @@ class Graph:
                 raise DuplicateEdge(f"edge ({u}, {v}) already present")
             adj[u] = adj[u] | {v}
             adj[v] = adj[v] | {u}
+            touched.update((u, v))
             added += 1
-        return Graph(self.n, tuple(adj), self.m + added)
+        return self._derived(adj, touched, self.m + added)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -281,20 +336,82 @@ def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[
         else:
             # Unrestricted components keep all their vertices' edges, so the
             # view can share the original adjacency sets.
-            inside = set(comp)
+            adj = [_EMPTY] * g.n
+            for v in comp:
+                adj[v] = g.neighbors(v)
             view = Graph(
-                g.n,
-                tuple(g.neighbors(v) if v in inside else _EMPTY for v in range(g.n)),
-                sum(g.degree(v) for v in comp) // 2,
+                g.n, tuple(adj), sum(g.degree(v) for v in comp) // 2, *_tally(adj, comp)
             )
         out.append(Component(vertices=tuple(comp), graph=view, m=view.m))
     return out
 
 
-def triangle_components(g: Graph) -> list[tuple[int, int, int]]:
+def triangle_components(
+    g: Graph, near: Iterable[int] | None = None
+) -> list[tuple[int, int, int]]:
     """Vertex triples of the components of g that are exactly triangles,
-    ordered by smallest member id."""
-    return [c.vertices for c in connected_components(g) if c.is_triangle]
+    ordered by smallest member id.
+
+    With `near`, only the triangle components containing one of those
+    vertices are found, by looking at no more than three vertices per probe.
+    When g came from a connected graph by deleting edges, passing the deleted
+    edges' endpoints finds them all, since every component of g holds one.
+    """
+    if near is None:
+        return [c.vertices for c in connected_components(g) if c.is_triangle]
+    found: set[tuple[int, int, int]] = set()
+    for v in near:
+        # a triangle component is three mutually adjacent vertices of degree 2
+        if g.degree(v) == 2:
+            a, b = g.neighbors(v)
+            if g.degree(a) == 2 and g.degree(b) == 2 and g.has_edge(a, b):
+                found.add(tuple(sorted((v, a, b))))
+    return sorted(found)
+
+
+def in_one_component(g: Graph, vertices: Iterable[int]) -> bool:
+    """Whether the given vertices that have edges all lie in one component.
+
+    One breadth-first search starts from each such vertex, and the searches
+    advance in lockstep, one vertex each per round; searches that meet merge
+    (Even & Shiloach, J. ACM 1981). The answer is yes once a single search
+    remains, and no as soon as a search runs out of vertices while others
+    remain: it has then walked a whole component that misses them. So
+    confirming a split costs about k times the smaller side for k starts.
+    """
+    starts = sorted({v for v in vertices if g.neighbors(v)})
+    owner = {v: i for i, v in enumerate(starts)}  # vertex -> search that saw it
+    merged_into = list(range(len(starts)))
+    queues: list[deque[int] | None] = [deque([v]) for v in starts]
+    left = len(starts)
+
+    def root(i: int) -> int:
+        while merged_into[i] != i:
+            merged_into[i] = i = merged_into[merged_into[i]]
+        return i
+
+    while left > 1:
+        for i in range(len(starts)):
+            q = queues[i]
+            if q is None:
+                continue
+            if not q:
+                return False
+            for w in g.neighbors(q.popleft()):
+                j = owner.get(w)
+                if j is None:
+                    owner[w] = i
+                    q.append(w)
+                    continue
+                j = root(j)
+                if j != i:
+                    merged_into[j] = i
+                    q.extend(queues[j])
+                    queues[j] = None
+                    left -= 1
+                    if left == 1:
+                        return True
+    return True
 
 
 def degeneracy_order(g: Graph) -> EliminationOrder:

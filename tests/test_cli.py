@@ -50,6 +50,15 @@ class TestDecomposeCommand:
         assert main(["decompose", str(tmp_path / "absent.txt")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_ascii_input_exits_one(self, tmp_path, capsys):
+        src = tmp_path / "na.txt"
+        src.write_bytes(b"# caf\xc3\xa9\n0 1\n1 2\n")
+        assert main(["decompose", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", SimpleNamespace(read=lambda: C4))
         assert main(["decompose", "-"]) == 0
@@ -111,6 +120,19 @@ class TestVerifyCommand:
         d = graph_file("not a decomposition\n", "dec.txt")
         assert main(["verify", g, d]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["graph", "decomposition"])
+    def test_non_ascii_input_exits_one(self, graph_file, tmp_path, capsys, which):
+        files = {
+            "graph": graph_file(C4),
+            "decomposition": graph_file("paths 2 bound 2 met true\n0 1 2\n2 3 0\n", "d.txt"),
+        }
+        files[which] = graph_file("# caf\u00e9\n0 1\n1 2\n", "na.txt")
+        assert main(["verify", files["graph"], files["decomposition"]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_malformed_graph_exits_one(self, graph_file, capsys):
         g = graph_file("0 zero\n")

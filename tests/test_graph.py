@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from gallai.generate import GenSpec, densify, generate
 from gallai.graph import (
     Component,
     Cycle,
@@ -14,6 +16,7 @@ from gallai.graph import (
     connected_components,
     degeneracy_order,
     format_edge_list,
+    in_one_component,
     is_cut_vertex,
     is_two_degenerate,
     parse_edge_list,
@@ -253,3 +256,138 @@ class TestTextFormat:
     def test_empty_input(self):
         g = parse_edge_list("")
         assert g.n == 0 and g.m == 0
+
+
+# -- stored counts and the seeded probes ---------------------------------------
+
+
+def recount(g):
+    """Non-isolated count and degree-1-or-2 set, from a scan of the universe."""
+    count = sum(1 for v in range(g.n) if g.neighbors(v))
+    low = frozenset(v for v in range(g.n) if 1 <= g.degree(v) <= 2)
+    return count, low
+
+
+def assert_tallied(g):
+    assert (g.non_isolated_count(), g.low_vertices()) == recount(g)
+
+
+def same_piece(g, vertices):
+    """Reference for in_one_component: one connected_components piece holds
+    every given vertex that has edges."""
+    piece = {v: i for i, c in enumerate(connected_components(g)) for v in c.vertices}
+    return len({piece[v] for v in vertices if g.neighbors(v)}) <= 1
+
+
+@st.composite
+def carrier_removals(draw):
+    """A connected 2-degenerate graph, the graph left after deleting a
+    carrier-like edge set, and the endpoints of the deleted edges.
+
+    The carrier is a shortest path between two drawn vertices, plus up to two
+    edges hanging off its ends, as the reduction branches remove them.
+    """
+    n = draw(st.integers(3, 40))
+    seed = draw(st.integers(0, 2**20))
+    g = generate(GenSpec(n=n, seed=seed, p2=draw(st.sampled_from((0.3, 0.6, 0.9)))))
+    if n <= 16 and draw(st.booleans()):
+        g = densify(g, seed=seed)
+    s = draw(st.integers(0, n - 1))
+    t = draw(st.integers(0, n - 1).filter(lambda t: t != s))
+    removed = set(shortest_path(g, s, t).edges())
+    for end in (s, t):
+        spare = sorted(w for w in g.neighbors(end) if (min(end, w), max(end, w)) not in removed)
+        if spare and draw(st.booleans()):
+            removed.add((min(end, spare[0]), max(end, spare[0])))
+    touched = sorted({w for e in removed for w in e})
+    return g, g.without_edges(sorted(removed)), touched
+
+
+class TestStoredCounts:
+    def test_every_constructor_keeps_the_tally(self):
+        g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (6, 7)])
+        assert_tallied(g)
+        for h in (
+            g.without_edges([(2, 3)]),
+            g.without_edges([(6, 7), (0, 1)]),
+            g.without_vertex(3),
+            g.without_vertex(7),
+            g.with_edges([(1, 6), (5, 7)]),
+            g.with_edges([(0, 3)]),
+            g.restricted_to([0, 1, 2, 3]),
+            g.restricted_to([6]),
+        ):
+            assert_tallied(h)
+        for c in connected_components(g) + connected_components(g, within=[0, 2, 3, 4, 6]):
+            assert_tallied(c.graph)
+
+    def test_empty_graph(self):
+        g = Graph.from_edges(4, [])
+        assert g.non_isolated_count() == 0 and g.low_vertices() == frozenset()
+        assert_tallied(g.with_edges([(0, 1)]))
+
+    @given(carrier_removals())
+    def test_tally_after_removal_matches_recount(self, case):
+        g, h, touched = case
+        assert_tallied(g)
+        assert_tallied(h)
+        assert_tallied(h.without_vertex(touched[0]))
+        assert_tallied(h.restricted_to(range(0, h.n, 2)))
+        for c in connected_components(h):
+            assert_tallied(c.graph)
+
+
+class TestSeededProbes:
+    @given(carrier_removals())
+    def test_triangle_probe_matches_full_search(self, case):
+        _g, h, touched = case
+        assert triangle_components(h, near=touched) == triangle_components(h)
+
+    @given(carrier_removals())
+    def test_lockstep_matches_components(self, case):
+        _g, h, touched = case
+        assert in_one_component(h, touched) == same_piece(h, touched)
+
+    @given(carrier_removals(), st.data())
+    def test_lockstep_matches_components_for_any_starts(self, case, data):
+        _g, h, _touched = case
+        starts = data.draw(st.lists(st.integers(0, h.n - 1), max_size=6))
+        assert in_one_component(h, starts) == same_piece(h, starts)
+
+    def test_probe_sees_only_triangles_near_the_starts(self):
+        g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7), (7, 5)])
+        assert triangle_components(g, near=[6]) == [(5, 6, 7)]
+        assert triangle_components(g, near=[3, 1, 7, 2]) == [(0, 1, 2), (5, 6, 7)]
+        assert triangle_components(g, near=[3, 4]) == []
+
+    def test_triangle_with_a_tail_is_not_a_component(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+        assert triangle_components(g, near=[0, 1, 2, 3]) == []
+
+    def test_split_cutting_off_a_single_edge(self):
+        # a 6-cycle with a pendant edge 6-7 hung on 0; deleting 0-6 strands 6-7
+        cycle = [(i, (i + 1) % 6) for i in range(6)]
+        g = Graph.from_edges(8, cycle + [(0, 6), (6, 7)]).without_edges([(0, 6)])
+        assert not in_one_component(g, [0, 6])
+        assert not in_one_component(g, [6, 0])
+        assert in_one_component(g, [0, 3])
+
+    def test_split_cutting_off_the_larger_side(self):
+        # a long path 0..19 joined by the edge 19-20 to a triangle 20, 21, 22;
+        # the larger side's only start is listed first
+        edges = [(i, i + 1) for i in range(19)] + [(19, 20), (20, 21), (21, 22), (22, 20)]
+        g = Graph.from_edges(23, edges).without_edges([(19, 20)])
+        assert not in_one_component(g, [19, 20, 21])
+        assert not in_one_component(g, [0, 22])
+
+    def test_connected_the_long_way_round(self):
+        # deleting one edge of a 30-cycle leaves its ends joined by 29 edges
+        g = Graph.from_edges(30, [(i, (i + 1) % 30) for i in range(30)])
+        assert in_one_component(g.without_edges([(0, 29)]), [0, 29])
+
+    def test_isolated_and_repeated_starts_are_ignored(self):
+        g = Graph.from_edges(6, [(0, 1), (1, 2)])
+        assert in_one_component(g, [])
+        assert in_one_component(g, [4, 5])
+        assert in_one_component(g, [0, 2, 2, 5])
+        assert not in_one_component(g.with_edges([(4, 5)]), [0, 4])
