@@ -3,6 +3,7 @@ instances, and run the fuzz loop with branch-coverage statistics.
 
 Exit statuses are a total function of outcomes:
   decompose  0 bound met | 2 valid but bound unmet | 1 parse or degeneracy error
+             | 5 internal invariant violated (reason, then trace JSON, on stderr)
   verify     0 valid | 3 invalid | 1 parse error
   gen        0 written | 1 unknown family or bad flags
   fuzz       0 all trials passed | 4 any failure
@@ -86,6 +87,10 @@ def cmd_decompose(args) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalInvariantViolation as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        print(json.dumps([s.to_json() for s in exc.steps], sort_keys=True), file=sys.stderr)
+        return 5
     if args.json:
         payload = dec.to_json()
         if args.trace:

@@ -165,29 +165,6 @@ class Decomposition:
         }
 
 
-@dataclass(frozen=True)
-class RemainderPlan:
-    """Bookkeeping for a carrier-removal branch.
-
-    removed:    every edge that leaves the view before recursion
-    carrier:    the path those edges mostly came from
-    triangles:  triangle components of view - removed, absorbed into carrier
-    reattach:   (endpoint, new_vertex) extension instructions, applied to the
-                recursion's paths in order
-    """
-
-    removed: frozenset[Edge]
-    carrier: Path
-    triangles: tuple[tuple[int, ...], ...]
-    reattach: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        carrier_edges = set(self.carrier.edges())
-        extras = {norm_edge(a, b) for a, b in self.reattach}
-        if self.removed != frozenset(carrier_edges) | extras:
-            raise ValueError("removed edges must be the carrier plus reattach edges")
-
-
 def _fail(msg: str, steps: Sequence[TraceStep]) -> InternalInvariantViolation:
     return InternalInvariantViolation(msg, steps)
 
@@ -285,14 +262,7 @@ class _Engine:
         """
         if in_one_component(g, near):
             # g has at most one edge-bearing component, so it is the view
-            if g.m == 0:
-                return []
-            if g.m == 3 and g.non_isolated_count() == 3:
-                tri = tuple(sorted(g.low_vertices()))
-                raise _fail(f"unexpected triangle component {tri}", steps)
-            sub, sub_steps = self.decompose_view(g)
-            steps.extend(sub_steps)
-            return sub
+            return self.decompose_pieces([g], steps)
         comps = [c for c in connected_components(g) if c.m > 0]
         if len(comps) > 1:
             steps.append(
@@ -303,11 +273,18 @@ class _Engine:
                     components=[list(c.vertices) for c in comps],
                 )
             )
+        return self.decompose_pieces([c.graph for c in comps], steps)
+
+    def decompose_pieces(
+        self, views: Iterable[Graph], steps: list[TraceStep]
+    ) -> list[Path]:
+        """Decompose each connected view in turn, appending to `steps`."""
         out: list[Path] = []
-        for c in comps:
-            if c.is_triangle:
-                raise _fail(f"unexpected triangle component {c.vertices}", steps)
-            sub, sub_steps = self.decompose_view(c.graph)
+        for view in views:
+            if view.m == 3 and view.non_isolated_count() == 3:
+                tri = tuple(sorted(view.low_vertices()))
+                raise _fail(f"unexpected triangle component {tri}", steps)
+            sub, sub_steps = self.decompose_view(view)
             out.extend(sub)
             steps.extend(sub_steps)
         return out
@@ -337,19 +314,17 @@ class _Engine:
         remainder = trimmed.without_edges(carrier.edges())
         touched = pre_ends + list(carrier.vertices)
         tris = tuple(triangle_components(remainder, near=touched))
-        plan = RemainderPlan(
-            removed=frozenset(pre_removed) | frozenset(carrier.edges()),
-            carrier=carrier,
-            triangles=tris,
-            reattach=tuple(reattach),
-        )
+        carrier_edges = set(carrier.edges())
+        removed = carrier_edges | set(pre_removed)
+        if removed != carrier_edges | {norm_edge(a, b) for a, b in reattach}:
+            raise _fail(f"{tag}: removed edges are not the carrier plus reattach edges", steps)
         steps.append(
             self.step(
                 tag,
                 g,
                 vertices,
                 carrier=list(carrier.vertices),
-                removed=[list(e) for e in sorted(plan.removed)],
+                removed=[list(e) for e in sorted(removed)],
                 triangles=[list(t) for t in tris],
                 reattach=[list(r) for r in reattach],
                 **detail,
@@ -489,21 +464,9 @@ class _Engine:
                     raise _fail(f"extension at {name} lands on the carrier", [])
             if ext_u is not None and ext_u == ext_v:
                 raise _fail("extensions coincide on a long carrier", [])
-            seq = ((ext_u,) if ext_u is not None else ()) + p0.vertices
-            seq = seq + ((ext_v,) if ext_v is not None else ())
-            return self.run_plan(
-                g,
-                "Claim1-Path",
-                {"u": u, "v": v},
-                Path(seq),
-                pre_removed=(),
-                reattach=(),
-                clean_removal=False,
-                distance=dist,
-            )
 
-        if ext_u is None or ext_v is None or ext_u != ext_v:
-            # Short distance but the closed walk stays a path.
+        if dist > 2 or ext_u is None or ext_v is None or ext_u != ext_v:
+            # A long carrier, or a short one whose closed walk stays a path.
             seq = ((ext_u,) if ext_u is not None else ()) + p0.vertices
             seq = seq + ((ext_v,) if ext_v is not None else ())
             return self.run_plan(
@@ -681,16 +644,7 @@ class _Engine:
                 components=[sorted(p.non_isolated()) for p in pieces],
             )
         )
-        sub: list[Path] = []
-        for view in pieces:
-            for c in connected_components(view):
-                if c.m == 0:
-                    continue
-                if c.is_triangle:
-                    raise _fail("triangle piece in pendant split", steps)
-                got, got_steps = self.decompose_view(c.graph)
-                sub.extend(got)
-                steps.extend(got_steps)
+        sub = self.decompose_pieces(pieces, steps)
         return sub + [Path((a, w, x, z)), Path((v, x))], steps
 
     def _pendant_even_open(self, g, v, x, w, z):
@@ -746,13 +700,8 @@ class _Engine:
             )
         )
         x_plus = comp_x.graph.with_edges([(v, x)])
-        sub: list[Path] = []
-        for view in (x_plus, comp_y.graph):
-            got, got_steps = self.decompose_view(view)
-            sub.extend(got)
-            steps.extend(got_steps)
-        sub = self.apply_reattach(g, sub, [(v, y)], steps)
-        return sub, steps
+        sub = self.decompose_pieces((x_plus, comp_y.graph), steps)
+        return self.apply_reattach(g, sub, [(v, y)], steps), steps
 
     def reduce_x_cut(self, g: Graph, v: int, x: int) -> tuple[list[Path], list[TraceStep]]:
         """The support vertex x is an articulation point of the whole graph."""
@@ -791,14 +740,9 @@ class _Engine:
                 components=[list(comp_a.vertices), list(comp_b.vertices)],
             )
         )
-        sub: list[Path] = []
-        for view in (comp_a.graph, comp_b.graph):
-            got, got_steps = self.decompose_view(view)
-            sub.extend(got)
-            steps.extend(got_steps)
+        sub = self.decompose_pieces((comp_a.graph, comp_b.graph), steps)
         # Extend within the pieces: x's stub picks up xz, v's picks up vx.
-        sub = self.apply_reattach(g, sub, [(x, z), (v, x)], steps)
-        return sub, steps
+        return self.apply_reattach(g, sub, [(x, z), (v, x)], steps), steps
 
     def reduce_case_deg3_neighbor(
         self, g: Graph, v: int, x: int, z: int
@@ -1029,24 +973,13 @@ def decompose_connected(
     g: Graph, record_state: bool = False
 ) -> tuple[Decomposition, ReductionTrace]:
     """decompose() for a graph known to be one connected non-triangle piece."""
-    degeneracy_order(g)
-    comps = [c for c in connected_components(g) if c.m > 0]
+    comps = connected_components(g)
     if len(comps) > 1:
         raise ValueError("graph is not connected")
     if comps and comps[0].is_triangle:
         raise ValueError("a triangle needs two paths; use decompose()")
-    eng = _Engine(record_state)
-    n = g.non_isolated_count()
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 20 * g.n + 1000))
-    try:
-        paths, steps = eng.decompose_view(comps[0].graph) if comps else ([], [])
-    finally:
-        sys.setrecursionlimit(old_limit)
-    dec = Decomposition(
-        paths=tuple(paths), host=g, claimed_bound=n // 2, bound_met=True
-    )
-    return dec, ReductionTrace(tuple(steps))
+    dec, trace, _met = decompose(g, record_state)
+    return dec, trace
 
 
 def absorb_triangles(
@@ -1124,92 +1057,6 @@ def merge_cycle_with_triangle(c: Cycle, t: Sequence[int]) -> list[Path]:
             Path((ring[0], y, x, ring[2])),
         ]
     raise GeometryMismatch(f"unsupported cycle length {len(ring)}")
-
-
-# -- reduction entry points with validation (useful for tests) -----------------
-
-
-def reduce_two_low_degree(g: Graph, u: int, v: int) -> tuple[Decomposition, ReductionTrace]:
-    """Run the two-low-vertices branch; (u, v) must be the canonical pair."""
-    low = sorted(g.low_vertices())
-    if u not in low or v not in low:
-        raise ValueError(f"({u}, {v}) are not both low-degree")
-    eng = _wrapper_engine(g)
-    cu, cv, _ = _closest_pair(g, low)
-    if (cu, cv) != (u, v):
-        raise ValueError(f"canonical pair is ({cu}, {cv}), not ({u}, {v})")
-    paths, steps = eng.reduce_two_low_degree(g, low)
-    return _wrap(g, paths, steps)
-
-
-def reduce_pendant(g: Graph, v: int, x: int, w: int, z: int) -> tuple[Decomposition, ReductionTrace]:
-    if g.degree(v) != 1 or next(iter(g.neighbors(v))) != x:
-        raise ValueError(f"{v} is not a pendant on {x}")
-    if g.degree(x) != 3:
-        raise ValueError(f"pendant support {x} must have degree 3")
-    others = sorted(g.neighbors(x) - {v})
-    deg3 = [t for t in others if g.degree(t) == 3]
-    if not deg3 or (w, z) != (deg3[0], next(t for t in others if t != deg3[0])):
-        raise ValueError(f"canonical roles for N({x})-{{{v}}} differ from ({w}, {z})")
-    eng = _wrapper_engine(g)
-    paths, steps = eng.reduce_pendant(g, v)
-    return _wrap(g, paths, steps)
-
-
-def reduce_degree2_cut(g: Graph, v: int) -> tuple[Decomposition, ReductionTrace]:
-    cut, comps = is_cut_vertex(g, v)
-    if g.degree(v) != 2 or not cut:
-        raise ValueError(f"{v} is not a degree-2 articulation point")
-    eng = _wrapper_engine(g)
-    paths, steps = eng.reduce_degree2_cut(g, v, comps)
-    return _wrap(g, paths, steps)
-
-
-def reduce_x_cut(g: Graph, v: int, x: int) -> tuple[Decomposition, ReductionTrace]:
-    if g.degree(v) != 2 or x not in g.neighbors(v) or g.degree(x) != 3:
-        raise ValueError(f"need degree-2 {v} beside degree-3 {x}")
-    eng = _wrapper_engine(g)
-    paths, steps = eng.reduce_x_cut(g, v, x)
-    return _wrap(g, paths, steps)
-
-
-def reduce_case_deg3_neighbor(g: Graph, v: int, x: int, z: int) -> tuple[Decomposition, ReductionTrace]:
-    if g.degree(x) != 3 or z not in g.neighbors(x) or g.degree(z) != 3:
-        raise ValueError("needs a degree-3 support with a degree-3 neighbour")
-    eng = _wrapper_engine(g)
-    paths, steps = eng.reduce_case_deg3_neighbor(g, v, x, z)
-    return _wrap(g, paths, steps)
-
-
-def reduce_case_y3(g: Graph, v: int, x: int, y: int, z: int, w: int) -> tuple[Decomposition, ReductionTrace]:
-    eng = _wrapper_engine(g)
-    paths, steps = eng.reduce_case_y3(g, v, x, y)
-    head = steps[0].vertices
-    if (head["z"], head["w"]) != (z, w):
-        raise ValueError(f"canonical roles are z={head['z']}, w={head['w']}")
-    return _wrap(g, paths, steps)
-
-
-def reduce_case_y4(g: Graph, v: int, x: int, y: int, z: int) -> tuple[Decomposition, ReductionTrace]:
-    eng = _wrapper_engine(g)
-    paths, steps = eng.reduce_case_y4(g, v, x, y)
-    if steps[0].vertices["z"] != z:
-        raise ValueError(f"canonical role is z={steps[0].vertices['z']}")
-    return _wrap(g, paths, steps)
-
-
-def _wrapper_engine(g: Graph) -> _Engine:
-    """The branches probe only near what they remove, which finds every
-    component only in a connected view."""
-    if sum(1 for c in connected_components(g) if c.m > 0) > 1:
-        raise ValueError("graph is not connected")
-    return _Engine(False)
-
-
-def _wrap(g: Graph, paths: list[Path], steps: list[TraceStep]) -> tuple[Decomposition, ReductionTrace]:
-    n = g.non_isolated_count()
-    dec = Decomposition(paths=tuple(paths), host=g, claimed_bound=n // 2, bound_met=True)
-    return dec, ReductionTrace(tuple(steps))
 
 
 # -- decomposition text format --------------------------------------------------

@@ -90,7 +90,6 @@ class GenSpec:
     seed: int
     connect: bool = True
     p2: float = 0.6
-    family: str | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -107,11 +106,8 @@ def generate(spec: GenSpec) -> Graph:
     """A seeded 2-degenerate graph on spec.n vertices.
 
     With connect=True every vertex after the first gets at least one
-    back-edge, so the result is connected. Dispatches to `family` when
-    spec.family is set.
+    back-edge, so the result is connected.
     """
-    if spec.family is not None:
-        return family(spec.family, spec.n)
     rng = random.Random(spec.seed)
     edges: list[tuple[int, int]] = []
     for v in range(1, spec.n):
@@ -195,7 +191,7 @@ def densify(g: Graph, seed: int, max_rounds: int | None = None) -> Graph:
     cap = max_rounds if max_rounds is not None else 4 * g.n + 20
     while rounds < cap:
         rounds += 1
-        lows = [v for v in range(g.n) if g.neighbors(v) and g.degree(v) <= 2]
+        lows = sorted(g.low_vertices())
         if len(lows) <= 1:
             break
         low_set = set(lows)
@@ -274,7 +270,7 @@ def _block(n: int, seed: int, p2: float, attempts: int = 8) -> tuple[Graph, int]
     for k in range(attempts):
         s = seed + 1000003 * k
         g = densify(generate(GenSpec(n=n, seed=s, connect=True, p2=p2)), seed=s)
-        lows = [v for v in range(g.n) if g.neighbors(v) and g.degree(v) <= 2]
+        lows = sorted(g.low_vertices())
         if len(lows) != 1 or g.degree(lows[0]) != 2:
             continue
         if is_cut_vertex(g, lows[0])[0]:

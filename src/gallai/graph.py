@@ -126,9 +126,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges())
-
     def non_isolated(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self._adj[v])
 
@@ -263,13 +260,6 @@ class Cycle:
 
 
 @dataclass(frozen=True)
-class EliminationOrder:
-    """Vertex removal order witnessing 2-degeneracy."""
-
-    order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Component:
     """One connected piece of a graph view.
 
@@ -287,16 +277,8 @@ class Component:
         return len(self.vertices)
 
     @property
-    def odd(self) -> bool:
-        return self.n % 2 == 1
-
-    @property
     def is_triangle(self) -> bool:
         return self.n == 3 and self.m == 3
-
-    @property
-    def is_isolated_vertex(self) -> bool:
-        return self.n == 1
 
 
 def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[Component]:
@@ -414,7 +396,7 @@ def in_one_component(g: Graph, vertices: Iterable[int]) -> bool:
     return True
 
 
-def degeneracy_order(g: Graph) -> EliminationOrder:
+def degeneracy_order(g: Graph) -> tuple[int, ...]:
     """Deterministic 2-degeneracy peel: lowest id among minimum-degree vertices
     with remaining degree <= 2, repeated. Raises NotTwoDegenerate when stuck.
     """
@@ -438,7 +420,7 @@ def degeneracy_order(g: Graph) -> EliminationOrder:
             if alive[w]:
                 deg[w] -= 1
                 heapq.heappush(heap, (deg[w], w))
-    return EliminationOrder(tuple(order))
+    return tuple(order)
 
 
 def is_two_degenerate(g: Graph) -> bool:
@@ -454,7 +436,6 @@ def shortest_path(
     source: int,
     target: int,
     forbidden_vertices: Iterable[int] = (),
-    forbidden_edges: Iterable[Edge] = (),
 ) -> Path:
     """Deterministic BFS shortest path.
 
@@ -465,7 +446,6 @@ def shortest_path(
     banned_v = set(forbidden_vertices)
     if source in banned_v or target in banned_v:
         raise NoPath(f"endpoint forbidden ({source} -> {target})")
-    banned_e = {norm_edge(*e) for e in forbidden_edges}
     if source == target:
         return Path((source,))
     parent: dict[int, int] = {source: -1}
@@ -475,8 +455,6 @@ def shortest_path(
         for v in frontier:
             for w in sorted(g.neighbors(v)):
                 if w in parent or w in banned_v:
-                    continue
-                if banned_e and norm_edge(v, w) in banned_e:
                     continue
                 parent[w] = v
                 if w == target:
@@ -511,10 +489,12 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
     Lines: optional leading `p <n> <m>` header, then one `<u> <v>` pair per
-    line; `#` starts a comment; blank lines are ignored. Without a header the
-    vertex count is 1 + the largest id seen (0 for an empty file).
+    line; `#` starts a comment; blank lines are ignored. A header's edge count
+    must match the edges that follow. Without a header the vertex count is
+    1 + the largest id seen (0 for an empty file).
     """
     n_header: int | None = None
+    m_header = header_line = 0
     edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -527,10 +507,10 @@ def parse_edge_list(text: str) -> Graph:
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: header needs `p <n> <m>`")
             try:
-                n_header = int(parts[1])
-                int(parts[2])
+                n_header, m_header = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphError(f"line {lineno}: bad header numbers") from None
+            header_line = lineno
             continue
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected `<u> <v>`, got {line!r}")
@@ -543,6 +523,10 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
     if n_header is None:
         n_header = 1 + max((max(u, v) for u, v in edges), default=-1)
+    elif m_header != len(edges):
+        raise GraphError(
+            f"line {header_line}: header says {m_header} edges, file has {len(edges)}"
+        )
     try:
         return Graph.from_edges(n_header, edges)
     except GraphError as exc:

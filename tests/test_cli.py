@@ -10,6 +10,7 @@ import pytest
 
 import gallai
 from gallai.cli import FuzzReport, build_parser, main, run_fuzz
+from gallai.decompose import InternalInvariantViolation, TraceStep, _Engine
 from gallai.graph import parse_edge_list
 
 TRIANGLE = "p 3 3\n0 1\n1 2\n0 2\n"
@@ -58,6 +59,26 @@ class TestDecomposeCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
+
+    def test_header_edge_count_mismatch_exits_one(self, graph_file, capsys):
+        assert main(["decompose", graph_file("p 4 99\n0 1\n1 2\n")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: header says 99 edges, file has 2\n"
+
+    def test_invariant_violation_exits_five_with_trace(self, graph_file, capsys, monkeypatch):
+        step = TraceStep(tag="Base", vertices={"u": 0, "v": 1}, n=2, m=1)
+
+        def broken(self, g):
+            raise InternalInvariantViolation("forced", [step])
+
+        monkeypatch.setattr(_Engine, "decompose_view", broken)
+        assert main(["decompose", graph_file(C4)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason, trace = captured.err.splitlines()
+        assert reason == "error: internal invariant violated: forced"
+        assert json.loads(trace) == [step.to_json()]
 
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", SimpleNamespace(read=lambda: C4))
@@ -133,6 +154,14 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
+
+    def test_header_edge_count_mismatch_exits_one(self, graph_file, capsys):
+        g = graph_file("p 4 99\n0 1\n1 2\n")
+        d = graph_file("paths 1 bound 2 met true\n0 1 2\n", "dec.txt")
+        assert main(["verify", g, d]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: header says 99 edges, file has 2\n"
 
     def test_malformed_graph_exits_one(self, graph_file, capsys):
         g = graph_file("0 zero\n")

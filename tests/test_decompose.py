@@ -7,6 +7,7 @@ from gallai.decompose import (
     InternalInvariantViolation,
     NoIntersectingPath,
     TriangleNotComponent,
+    _Engine,
     absorb_triangles,
     decompose,
     decompose_connected,
@@ -14,10 +15,6 @@ from gallai.decompose import (
     merge_cycle_into_decomposition,
     merge_cycle_with_triangle,
     parse_decomposition,
-    reduce_degree2_cut,
-    reduce_pendant,
-    reduce_two_low_degree,
-    reduce_x_cut,
 )
 from gallai.graph import Cycle, Graph, NotTwoDegenerate, Path
 from gallai.verify import verify_decomposition
@@ -152,6 +149,9 @@ class TestBranchFixtures:
         assert len(dec.paths) <= g.non_isolated_count() // 2
         return trace.steps[0].tag
 
+    def test_two_low_vertices(self):
+        assert self.lead_tag(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])) == "Claim1-Path"
+
     def test_degree2_articulation(self):
         assert self.lead_tag(splice(strip(5), 0, strip(5), 0)[0]) == "Claim3"
 
@@ -193,6 +193,21 @@ class TestBranchFixtures:
         a, _ = decompose_connected(g)
         b, _ = decompose_connected(g)
         assert a.paths == b.paths
+
+
+class TestInvariantGuards:
+    def test_removal_must_be_carrier_plus_reattach(self):
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        with pytest.raises(InternalInvariantViolation, match="carrier plus reattach"):
+            _Engine(False).run_plan(
+                g, "Claim1-Path", {}, Path((0, 1, 2)), [(3, 4)], (), clean_removal=False
+            )
+
+    def test_piece_loop_rejects_a_triangle_view(self):
+        views = [Graph.from_edges(5, [(3, 4)]), Graph.from_edges(5, [(0, 1), (1, 2), (0, 2)])]
+        with pytest.raises(InternalInvariantViolation, match=r"triangle component \(0, 1, 2\)") as exc:
+            _Engine(False).decompose_pieces(views, [])
+        assert [s.tag for s in exc.value.steps] == ["Base"]
 
 
 class TestAbsorbTriangles:
@@ -282,48 +297,6 @@ class TestCycleMerges:
             merge_cycle_with_triangle(Cycle((0, 1, 2)), (0, 1, 2, 3))
         with pytest.raises(GeometryMismatch):
             merge_cycle_with_triangle(Cycle((0, 1, 2, 3, 4)), (0, 1, 2))
-
-
-class TestReductionEntryPoints:
-    def test_two_low_canonical_pair_enforced(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        dec, trace = reduce_two_low_degree(g, 0, 1)
-        assert trace.steps[0].tag.startswith("Claim1")
-        check(g, dec)
-        with pytest.raises(ValueError):
-            reduce_two_low_degree(g, 1, 0)
-        with pytest.raises(ValueError):
-            reduce_two_low_degree(g, 0, 3)
-
-    def test_pendant_roles_validated(self):
-        g = hang(strip(6), 0)
-        v, x = 6, 0
-        w, z = 1, 2
-        dec, _ = reduce_pendant(g, v, x, w, z)
-        check(g, dec)
-        with pytest.raises(ValueError):
-            reduce_pendant(g, v, x, z, w)
-        with pytest.raises(ValueError):
-            reduce_pendant(g, x, v, w, z)
-
-    def test_degree2_cut_requires_articulation(self):
-        g, _ = splice(strip(5), 0, strip(5), 0)
-        dec, trace = reduce_degree2_cut(g, 10)
-        assert trace.steps[0].tag == "Claim3"
-        check(g, dec)
-        with pytest.raises(ValueError):
-            reduce_degree2_cut(g, 3)
-
-    def test_x_cut_requires_shape(self):
-        a, b = strip(5), strip(5)
-        edges = list(a.edges()) + [(u + 5, w + 5) for (u, w) in b.edges()]
-        edges += [(0, 10), (5, 10), (10, 11), (1, 11)]
-        g = Graph.from_edges(12, edges)
-        dec, trace = reduce_x_cut(g, 11, 10)
-        assert trace.steps[0].tag == "Claim4"
-        check(g, dec)
-        with pytest.raises(ValueError):
-            reduce_x_cut(g, 11, 1)
 
 
 class TestTextFormat:

@@ -77,11 +77,6 @@ class TestGenerate:
         g = generate(GenSpec(n=1, seed=0))
         assert g.n == 1 and g.m == 0
 
-    def test_family_dispatch(self):
-        direct = family("cycle", 6)
-        via_spec = generate(GenSpec(n=6, seed=0, family="cycle"))
-        assert direct == via_spec
-
 
 class TestFamilies:
     @pytest.mark.parametrize("name", FAMILIES)

@@ -44,7 +44,7 @@ def to_nx(g):
 class TestGraphInvariants:
     @given(graphs())
     def test_degeneracy_order_is_definitional(self, g):
-        order = degeneracy_order(g).order
+        order = degeneracy_order(g)
         assert sorted(order) == list(range(g.n))
         h = g
         for v in order:
