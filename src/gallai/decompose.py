@@ -11,19 +11,19 @@ cascade over the shape of the low-degree vertices:
   v's support x is an articulation   -> split and re-join across x
   otherwise                          -> one of three neighbourhood cases
 
-Each branch removes a small carrier (path or short cycle), recurses on what
-is left, absorbs any triangle components the removal created, and reattaches
-the removed edges onto a recursion path ending at a known degree-1 vertex.
-Every step is logged in a ReductionTrace whose tags name the branch taken.
+Each branch removes a small carrier (path or short cycle) and leaves the
+pieces that remain on an explicit work stack; once they are decomposed, it
+absorbs any triangle components the removal created and reattaches the
+removed edges onto a piece's path ending at a known degree-1 vertex. Every
+step is logged in a ReductionTrace whose tags name the branch taken.
 
 All tie-breaks are by lowest vertex id, so output is deterministic.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graph import (
     Component,
@@ -95,34 +95,26 @@ class GeometryMismatch(DecomposeError):
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One branch decision: its tag, the vertices it bound, and the view size.
-
-    `state_edges` holds the edge list of the graph view the branch fired on
-    when state recording is enabled, so the precondition can be replayed.
-    """
+    """One branch decision: its tag, the vertices it bound, and the view size."""
 
     tag: str
     vertices: dict[str, int]
     n: int
     m: int
     detail: dict = field(default_factory=dict)
-    state_edges: tuple[Edge, ...] | None = None
 
     def __post_init__(self):
         if self.tag not in BRANCH_TAGS:
             raise ValueError(f"unknown branch tag {self.tag!r}")
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "tag": self.tag,
             "vertices": dict(self.vertices),
             "n": self.n,
             "m": self.m,
             "detail": self.detail,
         }
-        if self.state_edges is not None:
-            out["state_edges"] = [list(e) for e in self.state_edges]
-        return out
 
 
 @dataclass(frozen=True)
@@ -165,71 +157,94 @@ class Decomposition:
         }
 
 
-def _fail(msg: str, steps: Sequence[TraceStep]) -> InternalInvariantViolation:
-    return InternalInvariantViolation(msg, steps)
+# Folds the paths of a plan's pieces, in piece order, into the planned view's.
+Finish = Callable[[list[Path]], list[Path]]
 
 
 class _Engine:
-    """Carries the record_state flag through the recursion."""
+    """Runs the reduction from one work stack and keeps the shared trace.
 
-    def __init__(self, record_state: bool):
-        self.record_state = record_state
+    `plan` handles one view: it logs the branch's steps and returns the
+    connected pieces left to decompose plus a `finish` that folds their
+    paths back in. A finish holds only vertices, paths and triangles, never a
+    view, so a view is freed once it is planned.
+    """
 
-    def step(self, tag: str, g: Graph, vertices: dict[str, int], **detail) -> TraceStep:
-        return TraceStep(
-            tag=tag,
-            vertices=vertices,
-            n=g.non_isolated_count(),
-            m=g.m,
-            detail=detail,
-            state_edges=tuple(g.edges()) if self.record_state else None,
-        )
+    def __init__(self):
+        self.steps: list[TraceStep] = []
+
+    def fail(self, msg: str) -> InternalInvariantViolation:
+        return InternalInvariantViolation(msg, self.steps)
+
+    def step(self, tag: str, g: Graph, vertices: dict[str, int], **detail) -> None:
+        self.steps.append(TraceStep(tag, vertices, g.non_isolated_count(), g.m, detail))
+
+    def solve(self, view: Graph) -> list[Path]:
+        """Decompose one connected non-triangle view, depth first.
+
+        The stack holds views still to plan and, under each planned view's
+        pieces, its finish with the index of `out` where the pieces' paths
+        start. Pieces are pushed in reverse so they run in order, and every
+        step is logged as it runs: the trace reads as the induction does.
+        """
+        out: list[Path] = []
+        work: list = [view]
+        try:
+            while work:
+                item = work.pop()
+                if isinstance(item, Graph):
+                    if item.m == 3 and item.non_isolated_count() == 3:
+                        tri = tuple(sorted(item.low_vertices()))
+                        raise self.fail(f"unexpected triangle component {tri}")
+                    pieces, finish = self.plan(item)
+                    work.append((finish, len(out), item.non_isolated_count()))
+                    work.extend(reversed(pieces))
+                    continue
+                finish, start, n = item
+                out[start:] = finish(out[start:])
+                if len(out) - start > n // 2:
+                    raise self.fail(f"{len(out) - start} paths exceed floor({n}/2)")
+        except (NoIntersectingPath, GeometryMismatch) as exc:
+            raise self.fail(f"cycle merge: {exc}") from exc
+        return out
 
     # -- main dispatch ------------------------------------------------------
 
-    def decompose_view(self, g: Graph) -> tuple[list[Path], list[TraceStep]]:
-        """Decompose one connected non-triangle view of the working graph."""
+    def plan(self, g: Graph) -> tuple[Sequence[Graph], Finish]:
+        """Pick the branch for one connected non-triangle view."""
         n = g.non_isolated_count()
-        m = g.m
         # ascending; a connected view on at most 3 vertices has them all here
         low = sorted(g.low_vertices())
 
-        if m == 0:
-            return [], []
-        if m == 1:
+        if g.m == 0:
+            return (), lambda _: []
+        if g.m == 1:
             (u, v) = low
-            return [Path((u, v))], [self.step("Base", g, {"u": u, "v": v})]
+            self.step("Base", g, {"u": u, "v": v})
+            return (), lambda _: [Path((u, v))]
         if n == 3:
-            if m == 3:
-                raise _fail("triangle reached the connected dispatcher", [])
             mid = next(v for v in low if g.degree(v) == 2)
             a, b = (v for v in low if v != mid)
-            return [Path((a, mid, b))], [self.step("Base", g, {"mid": mid})]
+            self.step("Base", g, {"mid": mid})
+            return (), lambda _: [Path((a, mid, b))]
 
         if len(low) >= 2:
-            paths, steps = self.reduce_two_low_degree(g, low)
-        else:
-            if not low:
-                raise _fail("no vertex of degree <= 2 in a 2-degenerate view", [])
-            v = low[0]
-            if g.degree(v) == 1:
-                paths, steps = self.reduce_pendant(g, v)
-            else:
-                cut_v, comps_v = is_cut_vertex(g, v)
-                if cut_v:
-                    paths, steps = self.reduce_degree2_cut(g, v, comps_v)
-                else:
-                    paths, steps = self._final_cases(g, v)
+            return self.reduce_two_low_degree(g, low)
+        if not low:
+            raise self.fail("no vertex of degree <= 2 in a 2-degenerate view")
+        v = low[0]
+        if g.degree(v) == 1:
+            return self.reduce_pendant(g, v)
+        cut_v, comps_v = is_cut_vertex(g, v)
+        if cut_v:
+            return self.reduce_degree2_cut(g, v, comps_v)
+        return self._final_cases(g, v)
 
-        if len(paths) > n // 2:
-            raise _fail(f"{len(paths)} paths exceed floor({n}/2)", steps)
-        return paths, steps
-
-    def _final_cases(self, g: Graph, v: int) -> tuple[list[Path], list[TraceStep]]:
+    def _final_cases(self, g: Graph, v: int) -> tuple[Sequence[Graph], Finish]:
         # v is the unique low vertex, degree 2, not an articulation point.
         candidates = sorted(u for u in g.neighbors(v) if g.degree(u) == 3)
         if not candidates:
-            raise _fail(f"no degree-3 neighbour of the unique low vertex {v}", [])
+            raise self.fail(f"no degree-3 neighbour of the unique low vertex {v}")
 
         for x in candidates:
             cut_x, _ = is_cut_vertex(g, x)
@@ -250,10 +265,8 @@ class _Engine:
 
     # -- shared machinery ---------------------------------------------------
 
-    def recurse_components(
-        self, g: Graph, steps: list[TraceStep], near: Iterable[int]
-    ) -> list[Path]:
-        """Decompose each edge-bearing component of g, logging a split.
+    def pieces(self, g: Graph, near: Iterable[int]) -> list[Graph]:
+        """The edge-bearing components of g, logging a split.
 
         g must come from a connected view by deleting edges, and every
         edge-bearing component of g must contain a vertex of `near` (an
@@ -262,32 +275,19 @@ class _Engine:
         """
         if in_one_component(g, near):
             # g has at most one edge-bearing component, so it is the view
-            return self.decompose_pieces([g], steps)
+            return [g]
         comps = [c for c in connected_components(g) if c.m > 0]
         if len(comps) > 1:
-            steps.append(
-                self.step(
-                    "ComponentSplit",
-                    g,
-                    {},
-                    components=[list(c.vertices) for c in comps],
-                )
-            )
-        return self.decompose_pieces([c.graph for c in comps], steps)
+            self.step("ComponentSplit", g, {}, components=[list(c.vertices) for c in comps])
+        return [c.graph for c in comps]
 
-    def decompose_pieces(
-        self, views: Iterable[Graph], steps: list[TraceStep]
-    ) -> list[Path]:
-        """Decompose each connected view in turn, appending to `steps`."""
-        out: list[Path] = []
-        for view in views:
-            if view.m == 3 and view.non_isolated_count() == 3:
-                tri = tuple(sorted(view.low_vertices()))
-                raise _fail(f"unexpected triangle component {tri}", steps)
-            sub, sub_steps = self.decompose_view(view)
-            out.extend(sub)
-            steps.extend(sub_steps)
-        return out
+    def shortest(self, g: Graph, s: int, t: int, banned: set[int], what: str) -> Path:
+        try:
+            return shortest_path(g, s, t, forbidden_vertices=banned)
+        except NoPath:
+            raise self.fail(
+                f"missing {what}: no {s}->{t} path avoiding {sorted(banned)}"
+            ) from None
 
     def run_plan(
         self,
@@ -299,17 +299,17 @@ class _Engine:
         reattach: Sequence[tuple[int, int]],
         clean_removal: bool,
         **detail,
-    ) -> tuple[list[Path], list[TraceStep]]:
-        """Remove pre_removed + carrier, recurse, absorb triangles, reattach.
+    ) -> tuple[Sequence[Graph], Finish]:
+        """Remove pre_removed + carrier; the finish reattaches, then absorbs
+        the triangles the removal left.
 
         g is connected, so every component left by a removal contains an
         endpoint of a removed edge: the searches start from those alone.
         """
         trimmed = g.without_edges(pre_removed) if pre_removed else g
-        steps: list[TraceStep] = []
         pre_ends = [w for e in pre_removed for w in e]
         if clean_removal and triangle_components(trimmed, near=pre_ends):
-            raise _fail(f"{tag}: edge removal exposed a triangle component", steps)
+            raise self.fail(f"{tag}: edge removal exposed a triangle component")
 
         remainder = trimmed.without_edges(carrier.edges())
         touched = pre_ends + list(carrier.vertices)
@@ -317,153 +317,146 @@ class _Engine:
         carrier_edges = set(carrier.edges())
         removed = carrier_edges | set(pre_removed)
         if removed != carrier_edges | {norm_edge(a, b) for a, b in reattach}:
-            raise _fail(f"{tag}: removed edges are not the carrier plus reattach edges", steps)
-        steps.append(
-            self.step(
-                tag,
-                g,
-                vertices,
-                carrier=list(carrier.vertices),
-                removed=[list(e) for e in sorted(removed)],
-                triangles=[list(t) for t in tris],
-                reattach=[list(r) for r in reattach],
-                **detail,
-            )
+            raise self.fail(f"{tag}: removed edges are not the carrier plus reattach edges")
+        self.step(
+            tag,
+            g,
+            vertices,
+            carrier=list(carrier.vertices),
+            removed=[list(e) for e in sorted(removed)],
+            triangles=[list(t) for t in tris],
+            reattach=[list(r) for r in reattach],
+            **detail,
         )
 
         kernel = remainder.without_edges(
             e for t in tris for e in _triangle_edges(t)
         )
-        sub = self.recurse_components(kernel, steps, touched)
-        sub = self.apply_reattach(g, sub, reattach, steps)
-        absorbed, lemma_steps = self.absorb(carrier, tris, steps)
-        steps.extend(lemma_steps)
-        return sub + absorbed, steps
+        extend = self.reattach(g, reattach)
+        return self.pieces(kernel, touched), lambda sub: extend(sub) + self.absorb(carrier, tris)
 
-    def apply_reattach(
-        self,
-        g: Graph,
-        paths: list[Path],
-        reattach: Sequence[tuple[int, int]],
-        steps: list[TraceStep],
-    ) -> list[Path]:
-        """Extend, in order, the path ending at each named endpoint.
+    def reattach(self, g: Graph, pairs: Sequence[tuple[int, int]]) -> Finish:
+        """Check the (endpoint, new) edges against g now; the returned finish
+        extends, in order, the path ending at each named endpoint.
 
         Consecutive instructions that chain (this endpoint is the vertex the
         previous instruction appended) keep growing the same path; otherwise
         exactly one path may end at the endpoint.
         """
-        out = list(paths)
-        prev: tuple[int, int] | None = None  # (index, appended vertex)
-        for endpoint, new in reattach:
+        for endpoint, new in pairs:
             if not g.has_edge(endpoint, new):
-                raise _fail(f"reattach edge ({endpoint}, {new}) missing", steps)
-            if prev is not None and prev[1] == endpoint:
-                idx = prev[0]
-            else:
-                hits = [i for i, p in enumerate(out) if endpoint in p.endpoints]
-                if len(hits) != 1:
-                    raise _fail(
-                        f"{len(hits)} paths end at {endpoint}; need exactly one",
-                        steps,
-                    )
-                idx = hits[0]
-            p = out[idx]
-            if new in p.vertices:
-                raise _fail(f"extension vertex {new} already on the path", steps)
-            if p.vertices[0] == endpoint:
-                out[idx] = Path((new,) + p.vertices)
-            else:
-                out[idx] = Path(p.vertices + (new,))
-            prev = (idx, new)
-        return out
+                raise self.fail(f"reattach edge ({endpoint}, {new}) missing")
+
+        def extend(out: list[Path]) -> list[Path]:
+            prev: tuple[int, int] | None = None  # (index, appended vertex)
+            for endpoint, new in pairs:
+                if prev is not None and prev[1] == endpoint:
+                    idx = prev[0]
+                else:
+                    hits = [i for i, p in enumerate(out) if endpoint in p.endpoints]
+                    if len(hits) != 1:
+                        raise self.fail(f"{len(hits)} paths end at {endpoint}; need exactly one")
+                    idx = hits[0]
+                p = out[idx]
+                if new in p.vertices:
+                    raise self.fail(f"extension vertex {new} already on the path")
+                if p.vertices[0] == endpoint:
+                    out[idx] = Path((new,) + p.vertices)
+                else:
+                    out[idx] = Path(p.vertices + (new,))
+                prev = (idx, new)
+            return out
+
+        return extend
 
     # -- triangle absorption ------------------------------------------------
 
-    def absorb(
-        self,
-        p: Path,
-        triangles: Sequence[tuple[int, ...]],
-        prior_steps: Sequence[TraceStep],
-    ) -> tuple[list[Path], list[TraceStep]]:
+    def absorb(self, p: Path, triangles: Sequence[tuple[int, ...]]) -> list[Path]:
         """Fold j triangle components into the carrier path: j+1 paths out.
 
         Walks the carrier from its first vertex; the triangle contacted
         earliest is split off into a path Q while the rest of the carrier is
         rethreaded into a path R that still visits every later contact point,
-        then recursion continues on R.
+        then the walk goes on along R.
         """
-        if not triangles:
-            return [p], []
-        pos = {v: i for i, v in enumerate(p.vertices)}
-        contact = []
-        for t in triangles:
-            hits = sorted(pos[v] for v in t if v in pos)
-            if not hits:
-                raise _fail(f"triangle {t} never touches the carrier", prior_steps)
-            contact.append((hits[0], hits, t))
-        contact.sort()
-        first_hit, hits, tri = contact[0]
-        rest = tuple(t for t in triangles if t != tri)
-        verts = p.vertices
+        out: list[Path] = []
+        while triangles:
+            pos = {v: i for i, v in enumerate(p.vertices)}
+            contact = []
+            for t in triangles:
+                hits = sorted(pos[v] for v in t if v in pos)
+                if not hits:
+                    raise self.fail(f"triangle {t} never touches the carrier")
+                contact.append((hits[0], hits, t))
+            contact.sort()
+            _, hits, tri = contact[0]
+            verts = p.vertices
 
-        if len(hits) == 3:
-            x, y, z = (verts[i] for i in hits)
-            w = verts[hits[2] - 1]
-            q = Path(verts[: hits[0] + 1] + (y, z, w))
-            r = Path(verts[hits[0] : hits[2]][::-1] + verts[hits[2] :])
-            tag = "Lemma1-Case1"
-            bound = {"x": x, "y": y, "z": z, "w": w}
-        elif len(hits) == 2:
-            x, y = verts[hits[0]], verts[hits[1]]
-            z = next(v for v in tri if v not in pos)
-            w = verts[hits[1] - 1]
-            q = Path(verts[: hits[0] + 1] + (y, w))
-            r = Path(verts[hits[0] : hits[1]][::-1] + (z,) + verts[hits[1] :])
-            tag = "Lemma1-Case2"
-            bound = {"x": x, "y": y, "z": z, "w": w}
-        else:
-            x = verts[hits[0]]
-            y, z = sorted(v for v in tri if v not in pos)
-            q = Path(verts[: hits[0] + 1] + (y, z))
-            r = Path((z,) + verts[hits[0] :])
-            tag = "Lemma1-Case3"
-            bound = {"x": x, "y": y, "z": z}
+            if len(hits) == 3:
+                x, y, z = (verts[i] for i in hits)
+                w = verts[hits[2] - 1]
+                q = Path(verts[: hits[0] + 1] + (y, z, w))
+                r = Path(verts[hits[0] : hits[2]][::-1] + verts[hits[2] :])
+                tag = "Lemma1-Case1"
+                bound = {"x": x, "y": y, "z": z, "w": w}
+            elif len(hits) == 2:
+                x, y = verts[hits[0]], verts[hits[1]]
+                z = next(v for v in tri if v not in pos)
+                w = verts[hits[1] - 1]
+                q = Path(verts[: hits[0] + 1] + (y, w))
+                r = Path(verts[hits[0] : hits[1]][::-1] + (z,) + verts[hits[1] :])
+                tag = "Lemma1-Case2"
+                bound = {"x": x, "y": y, "z": z, "w": w}
+            else:
+                x = verts[hits[0]]
+                y, z = sorted(v for v in tri if v not in pos)
+                q = Path(verts[: hits[0] + 1] + (y, z))
+                r = Path((z,) + verts[hits[0] :])
+                tag = "Lemma1-Case3"
+                bound = {"x": x, "y": y, "z": z}
 
-        scope = set(verts).union(*(set(t) for t in triangles))
-        step = TraceStep(
-            tag=tag,
-            vertices=bound,
-            n=len(scope),
-            m=(len(verts) - 1) + len(triangles) * 3,
-            detail={
-                "triangle": list(tri),
-                "carrier": list(verts),
-                "q": list(q.vertices),
-                "r": list(r.vertices),
-            },
-        )
-        tail, tail_steps = self.absorb(r, rest, prior_steps)
-        return [q] + tail, [step] + tail_steps
+            scope = set(verts).union(*(set(t) for t in triangles))
+            self.steps.append(
+                TraceStep(
+                    tag=tag,
+                    vertices=bound,
+                    n=len(scope),
+                    m=(len(verts) - 1) + len(triangles) * 3,
+                    detail={
+                        "triangle": list(tri),
+                        "carrier": list(verts),
+                        "q": list(q.vertices),
+                        "r": list(r.vertices),
+                    },
+                )
+            )
+            out.append(q)
+            p = r
+            triangles = tuple(t for t in triangles if t != tri)
+        out.append(p)
+        return out
 
     # -- the reduction branches ---------------------------------------------
 
     def reduce_two_low_degree(
         self, g: Graph, low: Sequence[int]
-    ) -> tuple[list[Path], list[TraceStep]]:
+    ) -> tuple[Sequence[Graph], Finish]:
         """Two or more degree-<=2 vertices: remove a carrier through the
         closest pair, or merge the short cycle their edges close into."""
-        u, v, dist = _closest_pair(g, low)
+        pair = _closest_pair(g, low)
+        if pair is None:
+            raise self.fail("low vertices share no component")
+        u, v, dist = pair
         p0 = shortest_path(g, u, v)
-        ext_u = _spare_neighbor(g, u, p0.vertices[1])
-        ext_v = _spare_neighbor(g, v, p0.vertices[-2])
+        ext_u = self.spare_neighbor(g, u, p0.vertices[1])
+        ext_v = self.spare_neighbor(g, v, p0.vertices[-2])
 
         if dist > 2:
             for e, name in ((ext_u, "u"), (ext_v, "v")):
                 if e is not None and e in p0.vertices:
-                    raise _fail(f"extension at {name} lands on the carrier", [])
+                    raise self.fail(f"extension at {name} lands on the carrier")
             if ext_u is not None and ext_u == ext_v:
-                raise _fail("extensions coincide on a long carrier", [])
+                raise self.fail("extensions coincide on a long carrier")
 
         if dist > 2 or ext_u is None or ext_v is None or ext_u != ext_v:
             # A long carrier, or a short one whose closed walk stays a path.
@@ -483,76 +476,75 @@ class _Engine:
         ring = (u, v, ext_u) if dist == 1 else (u, p0.vertices[1], v, ext_u)
         return self._cycle_route(g, Cycle(ring), u, v)
 
+    def spare_neighbor(self, g: Graph, v: int, path_next: int) -> int | None:
+        """The neighbour of a degree-<=2 vertex not already used by the carrier."""
+        spare = g.neighbors(v) - {path_next}
+        if not spare:
+            return None
+        if len(spare) > 1:
+            raise self.fail(f"vertex {v} is not low-degree")
+        return next(iter(spare))
+
     def _cycle_route(
         self, g: Graph, cyc: Cycle, u: int, v: int
-    ) -> tuple[list[Path], list[TraceStep]]:
+    ) -> tuple[Sequence[Graph], Finish]:
         tag = "Claim1-Cycle3" if len(cyc) == 3 else "Claim1-Cycle4"
-        steps = [self.step(tag, g, {"u": u, "v": v}, cycle=list(cyc.ring))]
+        self.step(tag, g, {"u": u, "v": v}, cycle=list(cyc.ring))
         rest = g.without_edges(cyc.edges())
         tris = triangle_components(rest, near=cyc.ring)
         if len(tris) > 1:
-            raise _fail("more than one triangle component around the cycle", steps)
+            raise self.fail("more than one triangle component around the cycle")
 
         if tris:
             t = tris[0]
             required = {cyc.ring[2]} if len(cyc) == 3 else {cyc.ring[1], cyc.ring[3]}
             if not required <= set(t):
-                raise _fail(
-                    f"triangle {t} misses the cycle contact {sorted(required)}",
-                    steps,
-                )
+                raise self.fail(f"triangle {t} misses the cycle contact {sorted(required)}")
             pair = merge_cycle_with_triangle(cyc, t)
-            steps.append(
-                self.step(
-                    "Subclaim2-Merge",
-                    g,
-                    {"u": u, "v": v},
-                    cycle=list(cyc.ring),
-                    triangle=list(t),
-                    merged=[list(p.vertices) for p in pair],
-                )
-            )
-            leftover = rest.without_edges(_triangle_edges(t))
-            sub = self.recurse_components(leftover, steps, cyc.ring)
-            return sub + pair, steps
-
-        if rest.m == 0:
-            # The component was exactly this cycle; two arcs cover it.
-            ring = cyc.ring
-            if len(ring) == 3:
-                raise _fail("bare triangle survived to the cycle route", steps)
-            arcs = [Path(ring[:3]), Path((ring[2], ring[3], ring[0]))]
-            return arcs, steps
-
-        sub = self.recurse_components(rest, steps, cyc.ring)
-        merged, w_index = _merge_cycle(cyc, sub, u, v)
-        steps.append(
             self.step(
-                "Subclaim1-Merge",
+                "Subclaim2-Merge",
                 g,
                 {"u": u, "v": v},
                 cycle=list(cyc.ring),
-                into=list(sub[w_index].vertices),
+                triangle=list(t),
+                merged=[list(p.vertices) for p in pair],
             )
-        )
-        return merged, steps
+            leftover = rest.without_edges(_triangle_edges(t))
+            return self.pieces(leftover, cyc.ring), lambda sub: sub + pair
 
-    def reduce_pendant(self, g: Graph, v: int) -> tuple[list[Path], list[TraceStep]]:
+        ring = cyc.ring
+        if rest.m == 0:
+            # The component was exactly this cycle; two arcs cover it.
+            if len(ring) == 3:
+                raise self.fail("bare triangle survived to the cycle route")
+            return (), lambda _: [Path(ring[:3]), Path((ring[2], ring[3], ring[0]))]
+
+        n, m = g.non_isolated_count(), g.m
+
+        def merge(sub: list[Path]) -> list[Path]:
+            merged, w_index = _merge_cycle(cyc, sub, u, v)
+            detail = {"cycle": list(ring), "into": list(sub[w_index].vertices)}
+            self.steps.append(TraceStep("Subclaim1-Merge", {"u": u, "v": v}, n, m, detail))
+            return merged
+
+        return self.pieces(rest, ring), merge
+
+    def reduce_pendant(self, g: Graph, v: int) -> tuple[Sequence[Graph], Finish]:
         """Unique low vertex is a pendant: peel it through its support x."""
         x = next(iter(g.neighbors(v)))
         if g.degree(x) != 3:
-            raise _fail(f"pendant support {x} has degree {g.degree(x)}, not 3", [])
+            raise self.fail(f"pendant support {x} has degree {g.degree(x)}, not 3")
         others = sorted(g.neighbors(x) - {v})
         deg3 = [t for t in others if g.degree(t) == 3]
         if not deg3:
-            raise _fail(f"neither neighbour of the support {x} has degree 3", [])
+            raise self.fail(f"neither neighbour of the support {x} has degree 3")
         w = deg3[0]
         z = next(t for t in others if t != w)
 
         g_minus_v = g.without_vertex(v)
         cut_x, comps = is_cut_vertex(g_minus_v, x)
         if not cut_x:
-            p0 = _shortest_or_fail(g, w, z, {x}, "pendant support detour", [])
+            p0 = self.shortest(g, w, z, {x}, "pendant support detour")
             carrier = Path(p0.vertices + (x,))
             return self.run_plan(
                 g,
@@ -573,90 +565,79 @@ class _Engine:
         w: int,
         z: int,
         comps: tuple[Component, ...],
-    ) -> tuple[list[Path], list[TraceStep]]:
-        steps: list[TraceStep] = []
+    ) -> tuple[Sequence[Graph], Finish]:
         if len(comps) != 2:
-            raise _fail(f"support split into {len(comps)} pieces, expected 2", steps)
+            raise self.fail(f"support split into {len(comps)} pieces, expected 2")
         side = {p: c for c in comps for p in c.vertices}
         if side.get(w) is side.get(z):
-            raise _fail("support neighbours landed in the same piece", steps)
+            raise self.fail("support neighbours landed in the same piece")
         for t in (w, z):
             if g.degree(t) != 3:
-                raise _fail(f"split neighbour {t} has degree {g.degree(t)}, not 3", steps)
+                raise self.fail(f"split neighbour {t} has degree {g.degree(t)}, not 3")
         comp_i, comp_j = side[z], side[w]
         if comp_j.n % 2 != 0 and comp_i.n % 2 == 0:
             w, z = z, w
             comp_i, comp_j = comp_j, comp_i
         if comp_i.is_triangle or comp_j.is_triangle:
-            raise _fail("triangle piece beside a pendant support", steps)
+            raise self.fail("triangle piece beside a pendant support")
 
         if comp_j.n % 2 == 1:
             # Both sides odd: two extra paths cover the support's star.
-            steps.append(
-                self.step(
-                    "Claim2-Case2-OddOdd",
-                    g,
-                    {"v": v, "x": x, "w": w, "z": z},
-                    sides=[list(comp_i.vertices), list(comp_j.vertices)],
-                )
+            self.step(
+                "Claim2-Case2-OddOdd",
+                g,
+                {"v": v, "x": x, "w": w, "z": z},
+                sides=[list(comp_i.vertices), list(comp_j.vertices)],
             )
             split = g.restricted_to(comp_i.vertices + comp_j.vertices)
-            sub = self.recurse_components(split, steps, (w, z))
-            return sub + [Path((w, x, z)), Path((v, x))], steps
+            star = [Path((w, x, z)), Path((v, x))]
+            return self.pieces(split, (w, z)), lambda sub: sub + star
 
         cut_w, sub_comps = is_cut_vertex(comp_j.graph, w)
         if cut_w:
-            return self._pendant_even_cut(g, v, x, w, z, comp_i, sub_comps, steps)
+            return self._pendant_even_cut(g, v, x, w, z, comp_i, sub_comps)
         return self._pendant_even_open(g, v, x, w, z)
 
-    def _pendant_even_cut(self, g, v, x, w, z, comp_i, sub_comps, steps):
+    def _pendant_even_cut(self, g, v, x, w, z, comp_i, sub_comps):
         if len(sub_comps) != 2:
-            raise _fail(f"{len(sub_comps)} pieces under the even side", steps)
+            raise self.fail(f"{len(sub_comps)} pieces under the even side")
         odd = [c for c in sub_comps if c.n % 2 == 1]
         even = [c for c in sub_comps if c.n % 2 == 0]
         if len(odd) != 1 or len(even) != 1:
-            raise _fail("even side did not split odd/even", steps)
+            raise self.fail("even side did not split odd/even")
         j1, j2 = odd[0], even[0]
         a_opts = sorted(g.neighbors(w) & set(j1.vertices))
         b_opts = sorted(g.neighbors(w) & set(j2.vertices))
         if len(a_opts) != 1 or len(b_opts) != 1:
-            raise _fail("cut neighbour counts off in the even side", steps)
+            raise self.fail("cut neighbour counts off in the even side")
         a, b = a_opts[0], b_opts[0]
         if j1.is_triangle:
-            raise _fail("odd piece is a triangle beside the pendant support", steps)
-        steps.append(
-            self.step(
-                "Claim2-Subcase2.1",
-                g,
-                {"v": v, "x": x, "w": w, "z": z, "a": a, "b": b},
-                odd_side=list(j1.vertices),
-                even_side=list(j2.vertices),
-            )
+            raise self.fail("odd piece is a triangle beside the pendant support")
+        self.step(
+            "Claim2-Subcase2.1",
+            g,
+            {"v": v, "x": x, "w": w, "z": z, "a": a, "b": b},
+            odd_side=list(j1.vertices),
+            even_side=list(j2.vertices),
         )
         # Decompose the far side, the odd piece, and the even piece with w.
-        j2w = g.restricted_to(j2.vertices + (w,))
-        pieces = (comp_i.graph, j1.graph, j2w)
-        steps.append(
-            self.step(
-                "ComponentSplit",
-                g,
-                {},
-                components=[sorted(p.non_isolated()) for p in pieces],
-            )
-        )
-        sub = self.decompose_pieces(pieces, steps)
-        return sub + [Path((a, w, x, z)), Path((v, x))], steps
+        j2w = sorted(j2.vertices + (w,))
+        sides = [list(comp_i.vertices), list(j1.vertices), j2w]
+        self.step("ComponentSplit", g, {}, components=sides)
+        star = [Path((a, w, x, z)), Path((v, x))]
+        pieces = (comp_i.graph, j1.graph, g.restricted_to(j2w))
+        return pieces, lambda sub: sub + star
 
     def _pendant_even_open(self, g, v, x, w, z):
         nbrs = sorted(g.neighbors(w) - {x})
         if len(nbrs) != 2:
-            raise _fail(f"support neighbour {w} has stray edges", [])
+            raise self.fail(f"support neighbour {w} has stray edges")
         deg3 = [t for t in nbrs if g.degree(t) == 3]
         if not deg3:
-            raise _fail(f"no degree-3 neighbour of {w} inside the even side", [])
+            raise self.fail(f"no degree-3 neighbour of {w} inside the even side")
         a = deg3[0]
         b = next(t for t in nbrs if t != a)
-        p0 = _shortest_or_fail(g, a, b, {w}, "even-side detour", [])
+        p0 = self.shortest(g, a, b, {w}, "even-side detour")
         carrier = Path(p0.vertices + (w,))
         return self.run_plan(
             g,
@@ -670,91 +651,71 @@ class _Engine:
 
     def reduce_degree2_cut(
         self, g: Graph, v: int, comps: tuple[Component, ...]
-    ) -> tuple[list[Path], list[TraceStep]]:
+    ) -> tuple[Sequence[Graph], Finish]:
         """Unique low vertex of degree 2 is an articulation point."""
-        steps: list[TraceStep] = []
         if len(comps) != 2:
-            raise _fail(f"degree-2 articulation made {len(comps)} pieces", steps)
+            raise self.fail(f"degree-2 articulation made {len(comps)} pieces")
         x, y = sorted(g.neighbors(v))
         side = {p: c for c in comps for p in c.vertices}
         comp_x, comp_y = side[x], side[y]
         if comp_x is comp_y:
-            raise _fail("both neighbours in one piece despite the split", steps)
+            raise self.fail("both neighbours in one piece despite the split")
         if comp_y.is_triangle:
-            raise _fail("triangle piece across a degree-2 articulation", steps)
-        steps.append(
-            self.step(
-                "Claim3",
-                g,
-                {"v": v, "x": x, "y": y},
-                x_side=list(comp_x.vertices),
-                y_side=list(comp_y.vertices),
-            )
+            raise self.fail("triangle piece across a degree-2 articulation")
+        self.step(
+            "Claim3",
+            g,
+            {"v": v, "x": x, "y": y},
+            x_side=list(comp_x.vertices),
+            y_side=list(comp_y.vertices),
         )
-        steps.append(
-            self.step(
-                "ComponentSplit",
-                g,
-                {},
-                components=[list(comp_x.vertices) + [v], list(comp_y.vertices)],
-            )
-        )
+        sides = [list(comp_x.vertices) + [v], list(comp_y.vertices)]
+        self.step("ComponentSplit", g, {}, components=sides)
         x_plus = comp_x.graph.with_edges([(v, x)])
-        sub = self.decompose_pieces((x_plus, comp_y.graph), steps)
-        return self.apply_reattach(g, sub, [(v, y)], steps), steps
+        return (x_plus, comp_y.graph), self.reattach(g, [(v, y)])
 
-    def reduce_x_cut(self, g: Graph, v: int, x: int) -> tuple[list[Path], list[TraceStep]]:
+    def reduce_x_cut(self, g: Graph, v: int, x: int) -> tuple[Sequence[Graph], Finish]:
         """The support vertex x is an articulation point of the whole graph."""
-        steps: list[TraceStep] = []
         y = next(iter(g.neighbors(v) - {x}))
-        p0 = _shortest_or_fail(g, x, y, {v}, "support-to-partner detour", steps)
+        p0 = self.shortest(g, x, y, {v}, "support-to-partner detour")
         z = p0.vertices[1]
         w_opts = sorted(g.neighbors(x) - {v, z})
         if len(w_opts) != 1:
-            raise _fail(f"support {x} should keep exactly one spare edge", steps)
+            raise self.fail(f"support {x} should keep exactly one spare edge")
         w = w_opts[0]
         trimmed = g.without_edges([norm_edge(x, z), norm_edge(v, x)])
         comps = [c for c in connected_components(trimmed) if c.m > 0]
         if len(comps) != 2:
-            raise _fail(f"articulation split made {len(comps)} pieces", steps)
+            raise self.fail(f"articulation split made {len(comps)} pieces")
         side = {p: c for c in comps for p in c.vertices}
         comp_a, comp_b = side[x], side[v]
         if comp_a is comp_b:
-            raise _fail("support and low vertex stayed connected", steps)
+            raise self.fail("support and low vertex stayed connected")
         if comp_a.is_triangle or comp_b.is_triangle:
-            raise _fail("triangle piece across the support articulation", steps)
-        steps.append(
-            self.step(
-                "Claim4",
-                g,
-                {"v": v, "x": x, "y": y, "z": z, "w": w},
-                a_side=list(comp_a.vertices),
-                b_side=list(comp_b.vertices),
-            )
+            raise self.fail("triangle piece across the support articulation")
+        self.step(
+            "Claim4",
+            g,
+            {"v": v, "x": x, "y": y, "z": z, "w": w},
+            a_side=list(comp_a.vertices),
+            b_side=list(comp_b.vertices),
         )
-        steps.append(
-            self.step(
-                "ComponentSplit",
-                g,
-                {},
-                components=[list(comp_a.vertices), list(comp_b.vertices)],
-            )
-        )
-        sub = self.decompose_pieces((comp_a.graph, comp_b.graph), steps)
+        sides = [list(comp_a.vertices), list(comp_b.vertices)]
+        self.step("ComponentSplit", g, {}, components=sides)
         # Extend within the pieces: x's stub picks up xz, v's picks up vx.
-        return self.apply_reattach(g, sub, [(x, z), (v, x)], steps), steps
+        return (comp_a.graph, comp_b.graph), self.reattach(g, [(x, z), (v, x)])
 
     def reduce_case_deg3_neighbor(
         self, g: Graph, v: int, x: int, z: int
-    ) -> tuple[list[Path], list[TraceStep]]:
+    ) -> tuple[Sequence[Graph], Finish]:
         """The support x has a degree-3 neighbour z: reroute through it."""
-        p0 = _shortest_or_fail(g, z, v, {x}, "low-vertex detour", [])
+        p0 = self.shortest(g, z, v, {x}, "low-vertex detour")
         spares = sorted(g.neighbors(z) - {x, p0.vertices[1]})
         if len(spares) != 1:
-            raise _fail(f"degree-3 neighbour {z} kept {len(spares)} spare edges", [])
+            raise self.fail(f"degree-3 neighbour {z} kept {len(spares)} spare edges")
         t = spares[0]
         if t in p0.vertices:
-            raise _fail("spare edge of z lands on a shortest detour", [])
+            raise self.fail("spare edge of z lands on a shortest detour")
         carrier = Path((t,) + p0.vertices + (x,))
         return self.run_plan(
             g,
@@ -768,20 +729,20 @@ class _Engine:
 
     def reduce_case_y3(
         self, g: Graph, v: int, x: int, y: int
-    ) -> tuple[list[Path], list[TraceStep]]:
+    ) -> tuple[Sequence[Graph], Finish]:
         """Both neighbours of v have degree 3 and no degree-3 contacts of
         their own: they share a degree-4 vertex that carries the removal."""
         if g.has_edge(x, y):
-            raise _fail(f"supports {x},{y} adjacent yet filtered as contact-free", [])
+            raise self.fail(f"supports {x},{y} adjacent yet filtered as contact-free")
         zs = sorted(
             c for c in g.neighbors(x) & g.neighbors(y) if g.degree(c) == 4
         )
         if not zs:
-            raise _fail(f"no shared degree-4 neighbour of {x} and {y}", [])
+            raise self.fail(f"no shared degree-4 neighbour of {x} and {y}")
         z = zs[0]
         w_opts = sorted(g.neighbors(x) - {v, z})
         if len(w_opts) != 1:
-            raise _fail(f"support {x} should have one remaining neighbour", [])
+            raise self.fail(f"support {x} should have one remaining neighbour")
         w = w_opts[0]
         carrier = Path((y, z, x, w))
         return self.run_plan(
@@ -796,17 +757,17 @@ class _Engine:
 
     def reduce_case_y4(
         self, g: Graph, v: int, x: int, y: int
-    ) -> tuple[list[Path], list[TraceStep]]:
+    ) -> tuple[Sequence[Graph], Finish]:
         """v's other neighbour has degree 4: it must touch x; peel both."""
         if g.degree(y) != 4:
-            raise _fail(f"partner {y} has degree {g.degree(y)}, expected 4", [])
+            raise self.fail(f"partner {y} has degree {g.degree(y)}, expected 4")
         if not g.has_edge(x, y):
-            raise _fail(f"partner {y} not adjacent to support {x}", [])
+            raise self.fail(f"partner {y} not adjacent to support {x}")
         z_opts = sorted(g.neighbors(x) - {v, y})
         if len(z_opts) != 1:
-            raise _fail(f"support {x} should keep one spare neighbour", [])
+            raise self.fail(f"support {x} should keep one spare neighbour")
         z = z_opts[0]
-        p0 = _shortest_or_fail(g, z, v, {x}, "spare-to-low detour", [])
+        p0 = self.shortest(g, z, v, {x}, "spare-to-low detour")
         carrier = Path((x,) + p0.vertices)
         return self.run_plan(
             g,
@@ -827,18 +788,9 @@ def _triangle_edges(t: Sequence[int]) -> list[Edge]:
     return [(a, b), (a, c), (b, c)]
 
 
-def _spare_neighbor(g: Graph, v: int, path_next: int) -> int | None:
-    """The neighbour of a degree-<=2 vertex not already used by the carrier."""
-    spare = g.neighbors(v) - {path_next}
-    if not spare:
-        return None
-    if len(spare) > 1:
-        raise InternalInvariantViolation(f"vertex {v} is not low-degree")
-    return next(iter(spare))
-
-
-def _closest_pair(g: Graph, low: Sequence[int]) -> tuple[int, int, int]:
-    """Closest pair among the low vertices, ties by (distance, u, v)."""
+def _closest_pair(g: Graph, low: Sequence[int]) -> tuple[int, int, int] | None:
+    """Closest pair among the low vertices as (u, v, distance), ties by
+    (distance, u, v); None if no two of them share a component."""
     best: tuple[int, int, int] | None = None  # (dist, u, v)
     low_set = set(low)
     for u in sorted(low):
@@ -866,18 +818,7 @@ def _closest_pair(g: Graph, low: Sequence[int]) -> tuple[int, int, int]:
                     best = cand
                 break
             frontier = nxt
-    if best is None:
-        raise InternalInvariantViolation("low vertices share no component")
-    return best[1], best[2], best[0]
-
-
-def _shortest_or_fail(
-    g: Graph, s: int, t: int, banned: set[int], what: str, steps
-) -> Path:
-    try:
-        return shortest_path(g, s, t, forbidden_vertices=banned)
-    except NoPath:
-        raise _fail(f"missing {what}: no {s}->{t} path avoiding {sorted(banned)}", steps) from None
+    return None if best is None else (best[1], best[2], best[0])
 
 
 def _merge_cycle(
@@ -922,9 +863,7 @@ def _merge_cycle(
 # -- public operations ----------------------------------------------------------
 
 
-def decompose(
-    g: Graph, record_state: bool = False
-) -> tuple[Decomposition, ReductionTrace, bool]:
+def decompose(g: Graph) -> tuple[Decomposition, ReductionTrace, bool]:
     """Decompose every component of g into edge-disjoint paths.
 
     Raises NotTwoDegenerate if some induced subgraph has minimum degree >= 3.
@@ -933,52 +872,38 @@ def decompose(
     floor(n/2) over non-isolated vertices.
     """
     degeneracy_order(g)
-    eng = _Engine(record_state)
+    eng = _Engine()
     comps = connected_components(g)
-    steps: list[TraceStep] = []
     if len(comps) > 1:
-        steps.append(
-            eng.step(
-                "ComponentSplit", g, {}, components=[list(c.vertices) for c in comps]
-            )
-        )
+        eng.step("ComponentSplit", g, {}, components=[list(c.vertices) for c in comps])
     paths: list[Path] = []
     per_component = 0
     met = True
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 20 * g.n + 1000))
-    try:
-        for c in comps:
-            if c.is_triangle:
-                a, b, cc = c.vertices
-                paths.extend([Path((a, b, cc)), Path((a, cc))])
-                steps.append(eng.step("Base", c.graph, {}, triangle=list(c.vertices)))
-                per_component += 2
-                met = False
-            else:
-                per_component += c.n // 2
-                sub, sub_steps = eng.decompose_view(c.graph)
-                paths.extend(sub)
-                steps.extend(sub_steps)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    for c in comps:
+        if c.is_triangle:
+            a, b, cc = c.vertices
+            paths.extend([Path((a, b, cc)), Path((a, cc))])
+            eng.step("Base", c.graph, {}, triangle=list(c.vertices))
+            per_component += 2
+            met = False
+        else:
+            per_component += c.n // 2
+            paths.extend(eng.solve(c.graph))
     claimed = g.non_isolated_count() // 2 if met else per_component
     dec = Decomposition(
         paths=tuple(paths), host=g, claimed_bound=claimed, bound_met=met
     )
-    return dec, ReductionTrace(tuple(steps)), met
+    return dec, ReductionTrace(tuple(eng.steps)), met
 
 
-def decompose_connected(
-    g: Graph, record_state: bool = False
-) -> tuple[Decomposition, ReductionTrace]:
+def decompose_connected(g: Graph) -> tuple[Decomposition, ReductionTrace]:
     """decompose() for a graph known to be one connected non-triangle piece."""
     comps = connected_components(g)
     if len(comps) > 1:
         raise ValueError("graph is not connected")
     if comps and comps[0].is_triangle:
         raise ValueError("a triangle needs two paths; use decompose()")
-    dec, trace, _met = decompose(g, record_state)
+    dec, trace, _met = decompose(g)
     return dec, trace
 
 
@@ -1004,9 +929,7 @@ def absorb_triangles(
         if not on_path & set(key):
             raise TriangleNotComponent(f"{key} never touches the path")
         tris.append(key)
-    eng = _Engine(False)
-    paths, _ = eng.absorb(p, tuple(tris), [])
-    return paths
+    return _Engine().absorb(p, tuple(tris))
 
 
 def merge_cycle_into_decomposition(

@@ -126,9 +126,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def non_isolated(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self._adj[v])
-
     def non_isolated_count(self) -> int:
         return self._count
 

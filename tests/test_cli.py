@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shutil
@@ -10,8 +11,9 @@ import pytest
 
 import gallai
 from gallai.cli import FuzzReport, build_parser, main, run_fuzz
-from gallai.decompose import InternalInvariantViolation, TraceStep, _Engine
-from gallai.graph import parse_edge_list
+from gallai.decompose import InternalInvariantViolation, NoIntersectingPath, TraceStep, _Engine
+from gallai.generate import family
+from gallai.graph import format_edge_list, parse_edge_list
 
 TRIANGLE = "p 3 3\n0 1\n1 2\n0 2\n"
 K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -72,13 +74,28 @@ class TestDecomposeCommand:
         def broken(self, g):
             raise InternalInvariantViolation("forced", [step])
 
-        monkeypatch.setattr(_Engine, "decompose_view", broken)
+        monkeypatch.setattr(_Engine, "plan", broken)
         assert main(["decompose", graph_file(C4)]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
         reason, trace = captured.err.splitlines()
         assert reason == "error: internal invariant violated: forced"
         assert json.loads(trace) == [step.to_json()]
+
+    def test_cycle_merge_failure_exits_five_with_trace(self, tmp_path, capsys, monkeypatch):
+        def broken(*_args):
+            raise NoIntersectingPath("forced")
+
+        # the package re-exports the function decompose under the module's name
+        monkeypatch.setattr(importlib.import_module("gallai.decompose"), "_merge_cycle", broken)
+        src = tmp_path / "theta.txt"
+        src.write_text(format_edge_list(family("theta", 7)))
+        assert main(["decompose", str(src)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason, trace = captured.err.splitlines()
+        assert reason == "error: internal invariant violated: cycle merge: forced"
+        assert "Claim1-Cycle3" in [s["tag"] for s in json.loads(trace)]
 
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", SimpleNamespace(read=lambda: C4))

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import pytest
 
 from gallai.decompose import (
@@ -16,6 +19,7 @@ from gallai.decompose import (
     merge_cycle_with_triangle,
     parse_decomposition,
 )
+from gallai.generate import GenSpec, generate
 from gallai.graph import Cycle, Graph, NotTwoDegenerate, Path
 from gallai.verify import verify_decomposition
 
@@ -111,9 +115,8 @@ class TestDecomposeConnected:
 
     def test_trace_tags_are_known(self):
         g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
-        _, trace = decompose_connected(g, record_state=True)
+        _, trace = decompose_connected(g)
         assert all(s.tag in BRANCH_TAGS for s in trace.steps)
-        assert all(s.state_edges is not None for s in trace.steps)
 
 
 # deterministic shapes that pin one dispatch branch each; built from a strip
@@ -199,15 +202,68 @@ class TestInvariantGuards:
     def test_removal_must_be_carrier_plus_reattach(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         with pytest.raises(InternalInvariantViolation, match="carrier plus reattach"):
-            _Engine(False).run_plan(
+            _Engine().run_plan(
                 g, "Claim1-Path", {}, Path((0, 1, 2)), [(3, 4)], (), clean_removal=False
             )
 
-    def test_piece_loop_rejects_a_triangle_view(self):
+    def test_piece_loop_rejects_a_triangle_view(self, monkeypatch):
+        # a host whose plan leaves an edge, then a triangle, as its pieces
+        host = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
         views = [Graph.from_edges(5, [(3, 4)]), Graph.from_edges(5, [(0, 1), (1, 2), (0, 2)])]
+        plan = _Engine.plan
+
+        def split_host(self, g):
+            return (views, lambda sub: sub) if g is host else plan(self, g)
+
+        monkeypatch.setattr(_Engine, "plan", split_host)
         with pytest.raises(InternalInvariantViolation, match=r"triangle component \(0, 1, 2\)") as exc:
-            _Engine(False).decompose_pieces(views, [])
+            _Engine().solve(host)
         assert [s.tag for s in exc.value.steps] == ["Base"]
+
+    def test_paths_beyond_the_bound_are_rejected(self, monkeypatch):
+        host = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        edges = [Path((0, 1)), Path((1, 2)), Path((2, 3))]
+        monkeypatch.setattr(_Engine, "plan", lambda self, g: ((), lambda _: list(edges)))
+        with pytest.raises(InternalInvariantViolation, match=r"3 paths exceed floor\(4/2\)"):
+            _Engine().solve(host)
+
+
+class TestWorkStack:
+    def test_runs_within_the_callers_recursion_limit(self, monkeypatch):
+        g = generate(GenSpec(n=3000, seed=0))
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        old = sys.getrecursionlimit()
+        set_limit = sys.setrecursionlimit
+
+        def refuse(_limit):
+            raise AssertionError("decompose changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        set_limit(depth + 100)
+        try:
+            dec, _trace, _met = decompose(g)
+        finally:
+            set_limit(old)
+        check(g, dec)
+
+    @staticmethod
+    def peak_bytes(n, seed):
+        g = generate(GenSpec(n=n, seed=seed, p2=0.6))
+        tracemalloc.start()
+        try:
+            decompose(g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_peak_memory_grows_about_linearly(self, seed):
+        # views already planned are freed, so doubling n about doubles the peak
+        assert self.peak_bytes(800, seed) / self.peak_bytes(400, seed) < 2.7
 
 
 class TestAbsorbTriangles:
