@@ -4,6 +4,13 @@ The package splits into a graph core (`graph`), the constructive decomposer
 with its branch traces (`decompose`), an independent verifier and exact
 oracle (`verify`), seeded test-graph generators (`generate`) and the command
 line front door (`cli`).
+
+The package attribute `gallai.decompose` is the function `decompose`, which
+this module re-exports under its submodule's name and so shadows the
+submodule: `import gallai.decompose as m` binds the function, and a string
+target such as "gallai.decompose._merge_cycle" does not resolve. Use
+`importlib.import_module("gallai.decompose")` (or
+`sys.modules["gallai.decompose"]`) to reach the module itself.
 """
 
 from .decompose import (
@@ -20,7 +27,6 @@ from .decompose import (
     decompose,
     decompose_connected,
     format_decomposition,
-    merge_cycle_into_decomposition,
     merge_cycle_with_triangle,
     parse_decomposition,
 )
@@ -107,7 +113,6 @@ __all__ = [
     "generate",
     "is_cut_vertex",
     "is_two_degenerate",
-    "merge_cycle_into_decomposition",
     "merge_cycle_with_triangle",
     "minimum_decomposition",
     "odd_degree_lower_bound",

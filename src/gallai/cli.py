@@ -8,6 +8,10 @@ Exit statuses are a total function of outcomes:
   gen        0 written | 1 unknown family or bad flags
   fuzz       0 all trials passed | 4 any failure
 Bad flags exit 1 everywhere.
+
+A graph has at most gallai.graph.MAX_VERTICES (1,000,000) vertices. A larger
+header count, or a larger vertex id without a header, is a parse error: one
+`error:` line and exit 1, before any memory is set aside for the graph.
 """
 
 from __future__ import annotations
@@ -141,7 +145,7 @@ def cmd_gen(args) -> int:
             g = generate(
                 GenSpec(n=args.n, seed=args.seed, connect=args.connected, p2=args.p2)
             )
-    except (UnknownFamily, ValueError) as exc:
+    except (UnknownFamily, ValueError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write(args.output, format_edge_list(g))

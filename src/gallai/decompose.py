@@ -17,16 +17,21 @@ absorbs any triangle components the removal created and reattaches the
 removed edges onto a piece's path ending at a known degree-1 vertex. Every
 step is logged in a ReductionTrace whose tags name the branch taken.
 
+The pieces are components of one mutable copy of the graph from which the
+removed edges are deleted in place; each keeps its own counts, an index of
+its closest low pair and a breadth-first tree that shows when a removal did
+not split it, so a step costs about its local work.
+
 All tie-breaks are by lowest vertex id, so output is deterministic.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .graph import (
-    Component,
     Cycle,
     Edge,
     Graph,
@@ -34,10 +39,10 @@ from .graph import (
     Path,
     connected_components,
     degeneracy_order,
-    in_one_component,
-    is_cut_vertex,
+    is_cut_vertex,  # noqa: F401  (a layer site of bench/tracer.py)
     norm_edge,
     shortest_path,
+    split_off,
     triangle_components,
 )
 
@@ -157,51 +162,441 @@ class Decomposition:
         }
 
 
-# Folds the paths of a plan's pieces, in piece order, into the planned view's.
-Finish = Callable[[list[Path]], list[Path]]
+# Folds the paths of a plan's pieces, out[start:] in piece order, into the
+# planned view's, in place: finish(out, start). A finish that only appends one
+# path is that path, which keeps the many pending finishes of a long run small.
+Finish = Callable[[list[Path], int], None] | Path
+
+# A bucket is purged of stale entries once it holds more than twice the live
+# entries it kept at its last purge plus this many, so stale entries never
+# outnumber live ones by much.
+_PURGE_SLACK = 64
+
+# A vertex of higher degree than this when its component is opened keeps its
+# low neighbours in a heap, so that finding its two least ones stays cheap
+# while many of its edges go (a hub such as a friendship graph's centre).
+_HUB_DEGREE = 32
+
+# Neighbour scans a tree repair may take before a split is searched for
+# directly: a split strands its side, whose levels would only keep growing.
+_REPAIR_BUDGET = 200
+
+_NO_EDGES: frozenset[int] = frozenset()
+
+
+class _Piece:
+    """A view pending on the work stack: one component of the working graph.
+
+    It keeps the view's non-isolated vertices `verts`, its edge count `m`,
+    its set `low` of degree-1-or-2 vertices, the root of its breadth-first
+    tree, and three heaps of candidates for its closest low pair, at
+    distance 1, 2 and 3 (see `_WorkingGraph.closest`). Heap entries go stale
+    as the graph changes and are dropped when they surface or when the heap
+    is purged.
+    """
+
+    __slots__ = ("verts", "m", "low", "root", "heaps", "caps")
+
+    def __init__(self):
+        self.verts: set[int] = set()
+        self.m = 0
+        self.low: set[int] = set()
+        self.root = -1
+        self.heaps: list[list[tuple[int, ...]]] = [[], [], []]
+        self.caps = [_PURGE_SLACK] * 3
+
+    @property
+    def count(self) -> int:
+        return len(self.verts)
+
+    @property
+    def size(self) -> tuple[int, int]:
+        """(non-isolated vertices, edges), as a trace step records them."""
+        return len(self.verts), self.m
+
+
+class _WorkingGraph:
+    """The host minus the edges already handed to finishes, edited in place.
+
+    Each vertex with edges points at the `_Piece` of its component, so the
+    views pending on the work stack are exactly the pieces. Reads go through
+    `neighbors`, `degree` and `has_edge`, as on a `Graph`, so the graph
+    primitives run on it unchanged.
+
+    Two structures follow the deletions.
+    - A breadth-first tree of each piece, repaired as its edges go (Even &
+      Shiloach, J. ACM 1981): when every vertex still hangs from the root,
+      the piece has not split, and no search is needed to show it.
+    - The closest-pair buckets. Every vertex w keeps `low1[w]` and `low2[w]`,
+      its two least neighbours of degree 1 or 2 (n when missing). Edges only
+      ever disappear, so a vertex turns low once, when its degree drops to
+      2, and stays low until it is isolated. Each deletion records its
+      endpoints, and `flush` brings the buckets up to date from them and
+      from the neighbours of the vertices that turned low.
+    """
+
+    def __init__(self, g: Graph):
+        n = g.n
+        # each slot shares g's frozenset until the vertex first loses an edge
+        self.adj: list = list(map(g.neighbors, range(n)))
+        self.owner: list[_Piece | None] = [None] * n
+        self.level = [0] * n
+        self.parent = [-1] * n
+        self.orphans: list[tuple[int, int]] = []  # heap of (level, vertex) to re-hang
+        self.none = n
+        self.low1 = [n] * n
+        self.low2 = [n] * n
+        self.dirty: list[int] = []  # endpoints of edges deleted since the last flush
+        self.entered: list[int] = []  # vertices that turned low since then
+        self.hub_lows: dict[int, list[int]] = {}  # hub -> heap of its low neighbours
+
+    def neighbors(self, v: int) -> set[int]:
+        return self.adj[v]
+
+    def degree(self, v: int) -> int:
+        return len(self.adj[v])
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.adj[u]
+
+    # -- pieces ---------------------------------------------------------------
+
+    def open(self, vertices: Sequence[int]) -> _Piece:
+        """The piece of one component of the host, made editable."""
+        adj = self.adj
+        for v in vertices:
+            if len(adj[v]) > _HUB_DEGREE:
+                lows = [x for x in adj[v] if len(adj[x]) <= 2]
+                heapq.heapify(lows)
+                self.hub_lows[v] = lows
+            self.low1[v], self.low2[v] = self._least_low(v)
+        return self._fill(_Piece(), vertices)
+
+    def _fill(self, p: _Piece, vertices: Iterable[int]) -> _Piece:
+        """Give p the given vertices, which must be whole components, with
+        their counts, tree and buckets."""
+        adj, owner, low1, low2, none = self.adj, self.owner, self.low1, self.low2, self.none
+        h1: list[tuple[int, ...]] = []
+        h2: list[tuple[int, ...]] = []
+        h3: list[tuple[int, ...]] = []
+        ends = 0
+        for v in vertices:
+            owner[v] = p
+            nbrs = adj[v]
+            if not nbrs:
+                continue
+            ends += len(nbrs)
+            p.verts.add(v)
+            if len(nbrs) <= 2:
+                p.low.add(v)
+                h1.extend((v, b) for b in nbrs if b > v and len(adj[b]) <= 2)
+            a = low1[v]
+            if low2[v] < none:
+                h2.append((a, low2[v], v))
+            elif a < none:
+                for b in nbrs:
+                    c = low1[b]
+                    if b > v and c < none and low2[b] == none and c != a:
+                        h3.append((a, c, v, b) if a < c else (c, a, v, b))
+        p.m += ends // 2
+        for k, h in enumerate((h1, h2, h3)):
+            heapq.heapify(h)
+            p.heaps[k] = h
+            p.caps[k] = 2 * len(h) + _PURGE_SLACK
+        self.plant(p)
+        return p
+
+    def divide(self, p: _Piece, groups: Sequence[Sequence[int]]) -> list[_Piece]:
+        """Split p into the given groups, which are the components of p's
+        vertices, and return their pieces in order.
+
+        The largest group keeps p; the others are relabelled, so a vertex
+        moves O(log n) times in all (Even & Shiloach's smaller-half
+        argument).
+        """
+        self.flush()
+        keep = max(range(len(groups)), key=lambda i: len(groups[i]))
+        out = []
+        for i, group in enumerate(groups):
+            if i == keep:
+                out.append(p)
+                continue
+            q = self._fill(_Piece(), group)
+            p.verts -= q.verts
+            p.m -= q.m
+            p.low -= q.low
+            out.append(q)
+        if p.root not in p.verts or not self.repair(p, None):
+            self.plant(p)
+        return out
+
+    def sides(
+        self, starts: Iterable[int], among: set[int], skip: Iterable[int] = ()
+    ) -> list[tuple[int, ...]]:
+        """The components that the vertices `among`, less `skip`, fall into,
+        when each holds one of the starts: sorted tuples ordered by least
+        vertex, or empty when they form one component, which is then not
+        walked."""
+        done = split_off(self, starts, skip)
+        if not done:
+            return []
+        rest = among.difference(skip, *done)
+        return sorted(tuple(sorted(c)) for c in done + [rest])
+
+    # -- edits ----------------------------------------------------------------
+
+    def delete(self, edges: Iterable[Edge]) -> None:
+        adj, owner, parent, level = self.adj, self.owner, self.parent, self.level
+        for a, b in edges:
+            p = owner[a]
+            p.m -= 1
+            if parent[a] == b:
+                heapq.heappush(self.orphans, (level[a], a))
+            elif parent[b] == a:
+                heapq.heappush(self.orphans, (level[b], b))
+            for u, x in ((a, b), (b, a)):
+                nbrs = adj[u]
+                if nbrs.__class__ is frozenset:
+                    nbrs = adj[u] = set(nbrs)
+                nbrs.remove(x)
+                d = len(nbrs)
+                if d == 2:
+                    p.low.add(u)
+                    self.entered.append(u)
+                elif not d:
+                    adj[u] = _NO_EDGES  # frees the vertex's own set
+                    p.low.discard(u)
+                    p.verts.discard(u)
+            self.dirty += (a, b)
+
+    # -- the breadth-first trees -----------------------------------------------
+
+    def plant(self, p: _Piece) -> None:
+        """Lay p's tree out afresh, rooted at a vertex of largest degree,
+        which is the last to be isolated."""
+        adj, level, parent = self.adj, self.level, self.parent
+        if not p.verts:
+            return
+        root = max(p.verts, key=lambda v: (len(adj[v]), -v))
+        p.root = root
+        level[root] = 0
+        parent[root] = -1
+        seen = {root}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for x in adj[u]:
+                    if x not in seen:
+                        seen.add(x)
+                        level[x] = level[u] + 1
+                        parent[x] = u
+                        nxt.append(x)
+            frontier = nxt
+
+    def repair(self, p: _Piece, budget: int | None) -> bool:
+        """Re-hang the vertices of p whose tree edge was deleted; True when
+        every vertex of p hangs from the root again, so p is connected.
+
+        An orphan at level l takes any neighbour at level l - 1 as its
+        parent; if it has none it moves down a level and its children become
+        orphans, processed in level order. False when the root is isolated,
+        when a level passes p's vertex count, or when the neighbour scans
+        exceed `budget`: p may have split, and the caller decides. The
+        orphans left stay queued, so a later call resumes.
+        """
+        adj, level, parent, owner = self.adj, self.level, self.parent, self.owner
+        if not p.verts:
+            return True
+        if not adj[p.root]:
+            return False
+        heap = self.orphans
+        work = 0
+        while heap:
+            lv, y = heap[0]
+            up = parent[y]
+            if lv != level[y] or owner[y] is not p or not adj[y] or (
+                up in adj[y] and level[up] == lv - 1
+            ):
+                heapq.heappop(heap)
+                continue
+            work += len(adj[y])
+            if budget is not None and work > budget or lv >= len(p.verts):
+                return False
+            heapq.heappop(heap)
+            for z in adj[y]:
+                if level[z] == lv - 1:
+                    parent[y] = z
+                    break
+            else:
+                level[y] = lv + 1
+                heapq.heappush(heap, (lv + 1, y))
+                for c in adj[y]:
+                    if parent[c] == y:
+                        heapq.heappush(heap, (level[c], c))
+        return True
+
+    def _least_low(self, w: int) -> tuple[int, int]:
+        adj = self.adj
+        m1 = m2 = self.none
+        lows = self.hub_lows.get(w)
+        if lows is None:
+            for x in adj[w]:
+                if x < m2 and len(adj[x]) <= 2:
+                    if x < m1:
+                        m1, m2 = x, m1
+                    else:
+                        m2 = x
+            return m1, m2
+        # a low neighbour stays low while it is a neighbour
+        nbrs = adj[w]
+        while lows and lows[0] not in nbrs:
+            heapq.heappop(lows)
+        if lows:
+            m1 = heapq.heappop(lows)
+            while lows and lows[0] not in nbrs:
+                heapq.heappop(lows)
+            if lows:
+                m2 = lows[0]
+            heapq.heappush(lows, m1)
+        return m1, m2
+
+    def flush(self) -> None:
+        """Push the bucket entries that the deletions since the last flush
+        created: a new low-low edge, and every vertex whose least low
+        neighbours changed."""
+        if not self.dirty:
+            return
+        adj, owner, low1, low2, none = self.adj, self.owner, self.low1, self.low2, self.none
+        hub_lows = self.hub_lows
+        touched = set(self.dirty)
+        for c in self.entered:
+            if not adj[c]:
+                continue
+            for b in adj[c]:
+                touched.add(b)
+                if b in hub_lows:
+                    heapq.heappush(hub_lows[b], c)
+                if len(adj[b]) <= 2:
+                    self._push(owner[c], 0, (c, b) if c < b else (b, c))
+        self.dirty.clear()
+        self.entered.clear()
+        for w in touched:
+            m1, m2 = self._least_low(w) if adj[w] else (none, none)
+            if m1 == low1[w] and m2 == low2[w]:
+                continue
+            p = owner[w]
+            single_before = low2[w] == none and low1[w] == m1
+            low1[w], low2[w] = m1, m2
+            if m2 < none:
+                self._push(p, 1, (m1, m2, w))
+            elif m1 < none and not single_before:
+                # w has just one low neighbour, and a new one: distance 3
+                # needs its edges to the other vertices with just one
+                for b in adj[w]:
+                    c = low1[b]
+                    if c < none and low2[b] == none and c != m1:
+                        self._push(p, 2, (m1, c, w, b) if m1 < c else (c, m1, w, b))
+
+    # -- the closest-pair index ----------------------------------------------
+
+    def _push(self, p: _Piece, k: int, entry: tuple[int, ...]) -> None:
+        h = p.heaps[k]
+        heapq.heappush(h, entry)
+        if len(h) > p.caps[k]:
+            h = [e for e in h if self._live(p, k, e)]
+            heapq.heapify(h)
+            p.heaps[k] = h
+            p.caps[k] = 2 * len(h) + _PURGE_SLACK
+
+    def _live(self, p: _Piece, k: int, e: tuple[int, ...]) -> bool:
+        adj = self.adj
+        if k == 0:
+            # both ends were low when pushed, and stay low while they touch
+            a, b = e
+            return self.owner[a] is p and b in adj[a]
+        if k == 1:
+            l1, l2, w = e
+            return self.owner[w] is p and self.low1[w] == l1 and self.low2[w] == l2
+        lo, hi, a, b = e
+        if self.owner[a] is not p or b not in adj[a]:
+            return False
+        x, y = self.low1[a], self.low1[b]
+        return (x, y) == (lo, hi) or (y, x) == (lo, hi)
+
+    def closest(self, p: _Piece) -> tuple[int, int, int] | None:
+        """The closest pair of p's low vertices as (u, v, distance), ties by
+        (distance, u, v), as `_closest_pair` finds it; None when it is at
+        distance 4 or more.
+
+        - Distance 1: the least edge whose ends are both low.
+        - Distance 2, when no such edge exists: for each vertex w with two or
+          more low neighbours, its two least ones; the least such pair.
+        - Distance 3, when neither applies: now every vertex has at most one
+          low neighbour, so the pairs are the edges (a, b) whose ends have
+          different low neighbours, low1[a] and low1[b]. Only edges whose
+          ends have one low neighbour each get entries.
+
+        Each heap keeps an entry for every live candidate, so its least live
+        entry is the answer for its distance.
+        """
+        self.flush()
+        for k in range(3):
+            h = p.heaps[k]
+            while h and not self._live(p, k, h[0]):
+                heapq.heappop(h)
+            if h:
+                return h[0][0], h[0][1], k + 1
+        return None
 
 
 class _Engine:
     """Runs the reduction from one work stack and keeps the shared trace.
 
-    `plan` handles one view: it logs the branch's steps and returns the
-    connected pieces left to decompose plus a `finish` that folds their
-    paths back in. A finish holds only vertices, paths and triangles, never a
-    view, so a view is freed once it is planned.
+    `plan` handles one view, a piece of the working graph: it logs the
+    branch's steps, deletes the removed edges in place and returns the
+    pieces left to decompose plus a `finish` that folds their paths back in.
+    A finish holds only vertices, paths and triangles.
     """
 
-    def __init__(self):
+    def __init__(self, g: Graph):
         self.steps: list[TraceStep] = []
+        self.w = _WorkingGraph(g)
 
     def fail(self, msg: str) -> InternalInvariantViolation:
         return InternalInvariantViolation(msg, self.steps)
 
-    def step(self, tag: str, g: Graph, vertices: dict[str, int], **detail) -> None:
-        self.steps.append(TraceStep(tag, vertices, g.non_isolated_count(), g.m, detail))
+    def step(self, tag: str, size: tuple[int, int], vertices: dict[str, int], **detail) -> None:
+        self.steps.append(TraceStep(tag, vertices, size[0], size[1], detail))
 
-    def solve(self, view: Graph) -> list[Path]:
-        """Decompose one connected non-triangle view, depth first.
+    def solve(self, piece: _Piece) -> list[Path]:
+        """Decompose one connected non-triangle piece, depth first.
 
-        The stack holds views still to plan and, under each planned view's
-        pieces, its finish with the index of `out` where the pieces' paths
-        start. Pieces are pushed in reverse so they run in order, and every
-        step is logged as it runs: the trace reads as the induction does.
+        The stack holds pieces still to plan and, under each planned piece's
+        sub-pieces, its finish with the index of `out` where their paths
+        start. Sub-pieces are pushed in reverse so they run in order, and
+        every step is logged as it runs: the trace reads as the induction
+        does.
         """
         out: list[Path] = []
-        work: list = [view]
+        work: list = [piece]
         try:
             while work:
                 item = work.pop()
-                if isinstance(item, Graph):
-                    if item.m == 3 and item.non_isolated_count() == 3:
-                        tri = tuple(sorted(item.low_vertices()))
+                if isinstance(item, _Piece):
+                    if item.m == 3 and item.count == 3:
+                        tri = tuple(sorted(item.low))
                         raise self.fail(f"unexpected triangle component {tri}")
+                    n = item.count
                     pieces, finish = self.plan(item)
-                    work.append((finish, len(out), item.non_isolated_count()))
+                    work.append((finish, len(out), n))
                     work.extend(reversed(pieces))
                     continue
                 finish, start, n = item
-                out[start:] = finish(out[start:])
+                if isinstance(finish, Path):
+                    out.append(finish)
+                else:
+                    finish(out, start)
                 if len(out) - start > n // 2:
                     raise self.fail(f"{len(out) - start} paths exceed floor({n}/2)")
         except (NoIntersectingPath, GeometryMismatch) as exc:
@@ -210,80 +605,93 @@ class _Engine:
 
     # -- main dispatch ------------------------------------------------------
 
-    def plan(self, g: Graph) -> tuple[Sequence[Graph], Finish]:
-        """Pick the branch for one connected non-triangle view."""
-        n = g.non_isolated_count()
-        # ascending; a connected view on at most 3 vertices has them all here
-        low = sorted(g.low_vertices())
-
-        if g.m == 0:
-            return (), lambda _: []
-        if g.m == 1:
-            (u, v) = low
-            self.step("Base", g, {"u": u, "v": v})
-            return (), lambda _: [Path((u, v))]
-        if n == 3:
+    def plan(self, p: _Piece) -> tuple[Sequence[_Piece], Finish]:
+        """Pick the branch for one connected non-triangle piece."""
+        g = self.w
+        if p.m == 0:
+            return (), lambda out, start: None
+        if p.m == 1:
+            u, v = sorted(p.low)
+            self.step("Base", p.size, {"u": u, "v": v})
+            g.delete([(u, v)])
+            return (), Path((u, v))
+        if p.count == 3:
+            # a connected view on 3 vertices has them all low
+            low = sorted(p.low)
             mid = next(v for v in low if g.degree(v) == 2)
             a, b = (v for v in low if v != mid)
-            self.step("Base", g, {"mid": mid})
-            return (), lambda _: [Path((a, mid, b))]
+            self.step("Base", p.size, {"mid": mid})
+            g.delete([(a, mid), (mid, b)])
+            return (), Path((a, mid, b))
 
-        if len(low) >= 2:
-            return self.reduce_two_low_degree(g, low)
-        if not low:
+        if len(p.low) >= 2:
+            return self.reduce_two_low_degree(p)
+        if not p.low:
             raise self.fail("no vertex of degree <= 2 in a 2-degenerate view")
-        v = low[0]
+        (v,) = p.low
         if g.degree(v) == 1:
-            return self.reduce_pendant(g, v)
-        cut_v, comps_v = is_cut_vertex(g, v)
-        if cut_v:
-            return self.reduce_degree2_cut(g, v, comps_v)
-        return self._final_cases(g, v)
+            return self.reduce_pendant(p, v)
+        comps = g.sides(g.neighbors(v), p.verts, skip={v})
+        if comps:
+            return self.reduce_degree2_cut(p, v, comps)
+        return self._final_cases(p, v)
 
-    def _final_cases(self, g: Graph, v: int) -> tuple[Sequence[Graph], Finish]:
+    def _final_cases(self, p: _Piece, v: int) -> tuple[Sequence[_Piece], Finish]:
         # v is the unique low vertex, degree 2, not an articulation point.
+        g = self.w
         candidates = sorted(u for u in g.neighbors(v) if g.degree(u) == 3)
         if not candidates:
             raise self.fail(f"no degree-3 neighbour of the unique low vertex {v}")
 
         for x in candidates:
-            cut_x, _ = is_cut_vertex(g, x)
-            if cut_x:
-                return self.reduce_x_cut(g, v, x)
+            if split_off(g, g.neighbors(x), skip=(x,)):
+                return self.reduce_x_cut(p, v, x)
 
         # Either support vertex with a degree-3 neighbour takes the short route.
         for x in candidates:
             zs = sorted(z for z in g.neighbors(x) if z != v and g.degree(z) == 3)
             if zs:
-                return self.reduce_case_deg3_neighbor(g, v, x, zs[0])
+                return self.reduce_case_deg3_neighbor(p, v, x, zs[0])
 
         x = candidates[0]
         y = next(iter(g.neighbors(v) - {x}))
         if g.degree(y) == 3:
-            return self.reduce_case_y3(g, v, x, y)
-        return self.reduce_case_y4(g, v, x, y)
+            return self.reduce_case_y3(p, v, x, y)
+        return self.reduce_case_y4(p, v, x, y)
 
     # -- shared machinery ---------------------------------------------------
 
-    def pieces(self, g: Graph, near: Iterable[int]) -> list[Graph]:
-        """The edge-bearing components of g, logging a split.
+    def pieces(self, p: _Piece, near: Iterable[int]) -> list[_Piece]:
+        """The pieces p falls into, logging a split.
 
-        g must come from a connected view by deleting edges, and every
-        edge-bearing component of g must contain a vertex of `near` (an
-        endpoint of each deleted edge will do). Only a split pays for a full
-        component search.
+        p must come from a connected view by deleting edges, and every
+        edge-bearing component left must contain a vertex of `near` (an
+        endpoint of each deleted edge will do). A repaired tree shows that p
+        did not split; only when the repair stalls are the components
+        searched for.
         """
-        if in_one_component(g, near):
-            # g has at most one edge-bearing component, so it is the view
-            return [g]
-        comps = [c for c in connected_components(g) if c.m > 0]
-        if len(comps) > 1:
-            self.step("ComponentSplit", g, {}, components=[list(c.vertices) for c in comps])
-        return [c.graph for c in comps]
+        g = self.w
+        if g.repair(p, _REPAIR_BUDGET):
+            return [p]
+        comps = g.sides(near, p.verts)
+        if not comps:
+            # p has at most one edge-bearing component, so it is the view
+            if not g.repair(p, None):
+                g.plant(p)
+            return [p]
+        self.step("ComponentSplit", p.size, {}, components=[list(c) for c in comps])
+        return g.divide(p, comps)
 
-    def shortest(self, g: Graph, s: int, t: int, banned: set[int], what: str) -> Path:
+    def is_triangle(self, c: Sequence[int]) -> bool:
+        """Whether a component c of the graph less some vertices is a triangle."""
+        if len(c) != 3:
+            return False
+        a, b, d = c
+        return self.w.has_edge(a, b) and self.w.has_edge(a, d) and self.w.has_edge(b, d)
+
+    def shortest(self, s: int, t: int, banned: set[int], what: str) -> Path:
         try:
-            return shortest_path(g, s, t, forbidden_vertices=banned)
+            return shortest_path(self.w, s, t, forbidden_vertices=banned)
         except NoPath:
             raise self.fail(
                 f"missing {what}: no {s}->{t} path avoiding {sorted(banned)}"
@@ -291,7 +699,7 @@ class _Engine:
 
     def run_plan(
         self,
-        g: Graph,
+        p: _Piece,
         tag: str,
         vertices: dict[str, int],
         carrier: Path,
@@ -299,28 +707,31 @@ class _Engine:
         reattach: Sequence[tuple[int, int]],
         clean_removal: bool,
         **detail,
-    ) -> tuple[Sequence[Graph], Finish]:
+    ) -> tuple[Sequence[_Piece], Finish]:
         """Remove pre_removed + carrier; the finish reattaches, then absorbs
         the triangles the removal left.
 
-        g is connected, so every component left by a removal contains an
-        endpoint of a removed edge: the searches start from those alone.
+        The view is connected, so every component left by a removal contains
+        an endpoint of a removed edge: the searches start from those alone.
         """
-        trimmed = g.without_edges(pre_removed) if pre_removed else g
-        pre_ends = [w for e in pre_removed for w in e]
-        if clean_removal and triangle_components(trimmed, near=pre_ends):
-            raise self.fail(f"{tag}: edge removal exposed a triangle component")
-
-        remainder = trimmed.without_edges(carrier.edges())
-        touched = pre_ends + list(carrier.vertices)
-        tris = tuple(triangle_components(remainder, near=touched))
+        g = self.w
+        size = p.size
         carrier_edges = set(carrier.edges())
         removed = carrier_edges | set(pre_removed)
         if removed != carrier_edges | {norm_edge(a, b) for a, b in reattach}:
             raise self.fail(f"{tag}: removed edges are not the carrier plus reattach edges")
+        extend = self.reattach(reattach)
+
+        g.delete(pre_removed)
+        pre_ends = [w for e in pre_removed for w in e]
+        if clean_removal and triangle_components(g, near=pre_ends):
+            raise self.fail(f"{tag}: edge removal exposed a triangle component")
+        g.delete(carrier_edges)
+        touched = pre_ends + list(carrier.vertices)
+        tris = tuple(triangle_components(g, near=touched))
         self.step(
             tag,
-            g,
+            size,
             vertices,
             carrier=list(carrier.vertices),
             removed=[list(e) for e in sorted(removed)],
@@ -328,32 +739,33 @@ class _Engine:
             reattach=[list(r) for r in reattach],
             **detail,
         )
+        g.delete(e for t in tris for e in _triangle_edges(t))
 
-        kernel = remainder.without_edges(
-            e for t in tris for e in _triangle_edges(t)
-        )
-        extend = self.reattach(g, reattach)
-        return self.pieces(kernel, touched), lambda sub: extend(sub) + self.absorb(carrier, tris)
+        def finish(out: list[Path], start: int) -> None:
+            extend(out, start)
+            out.extend(self.absorb(carrier, tris))
 
-    def reattach(self, g: Graph, pairs: Sequence[tuple[int, int]]) -> Finish:
-        """Check the (endpoint, new) edges against g now; the returned finish
-        extends, in order, the path ending at each named endpoint.
+        return self.pieces(p, touched), finish if reattach or tris else carrier
+
+    def reattach(self, pairs: Sequence[tuple[int, int]]) -> Finish:
+        """Check the (endpoint, new) edges against the view now; the returned
+        finish extends, in order, the path ending at each named endpoint.
 
         Consecutive instructions that chain (this endpoint is the vertex the
         previous instruction appended) keep growing the same path; otherwise
         exactly one path may end at the endpoint.
         """
         for endpoint, new in pairs:
-            if not g.has_edge(endpoint, new):
+            if not self.w.has_edge(endpoint, new):
                 raise self.fail(f"reattach edge ({endpoint}, {new}) missing")
 
-        def extend(out: list[Path]) -> list[Path]:
+        def extend(out: list[Path], start: int) -> None:
             prev: tuple[int, int] | None = None  # (index, appended vertex)
             for endpoint, new in pairs:
                 if prev is not None and prev[1] == endpoint:
                     idx = prev[0]
                 else:
-                    hits = [i for i, p in enumerate(out) if endpoint in p.endpoints]
+                    hits = [i for i in range(start, len(out)) if endpoint in out[i].endpoints]
                     if len(hits) != 1:
                         raise self.fail(f"{len(hits)} paths end at {endpoint}; need exactly one")
                     idx = hits[0]
@@ -365,7 +777,6 @@ class _Engine:
                 else:
                     out[idx] = Path(p.vertices + (new,))
                 prev = (idx, new)
-            return out
 
         return extend
 
@@ -438,18 +849,17 @@ class _Engine:
 
     # -- the reduction branches ---------------------------------------------
 
-    def reduce_two_low_degree(
-        self, g: Graph, low: Sequence[int]
-    ) -> tuple[Sequence[Graph], Finish]:
+    def reduce_two_low_degree(self, p: _Piece) -> tuple[Sequence[_Piece], Finish]:
         """Two or more degree-<=2 vertices: remove a carrier through the
         closest pair, or merge the short cycle their edges close into."""
-        pair = _closest_pair(g, low)
+        g = self.w
+        pair = g.closest(p) or _closest_pair(g, sorted(p.low))
         if pair is None:
             raise self.fail("low vertices share no component")
         u, v, dist = pair
         p0 = shortest_path(g, u, v)
-        ext_u = self.spare_neighbor(g, u, p0.vertices[1])
-        ext_v = self.spare_neighbor(g, v, p0.vertices[-2])
+        ext_u = self.spare_neighbor(u, p0.vertices[1])
+        ext_v = self.spare_neighbor(v, p0.vertices[-2])
 
         if dist > 2:
             for e, name in ((ext_u, "u"), (ext_v, "v")):
@@ -463,7 +873,7 @@ class _Engine:
             seq = ((ext_u,) if ext_u is not None else ()) + p0.vertices
             seq = seq + ((ext_v,) if ext_v is not None else ())
             return self.run_plan(
-                g,
+                p,
                 "Claim1-Path",
                 {"u": u, "v": v},
                 Path(seq),
@@ -474,11 +884,11 @@ class _Engine:
             )
 
         ring = (u, v, ext_u) if dist == 1 else (u, p0.vertices[1], v, ext_u)
-        return self._cycle_route(g, Cycle(ring), u, v)
+        return self._cycle_route(p, Cycle(ring), u, v)
 
-    def spare_neighbor(self, g: Graph, v: int, path_next: int) -> int | None:
+    def spare_neighbor(self, v: int, path_next: int) -> int | None:
         """The neighbour of a degree-<=2 vertex not already used by the carrier."""
-        spare = g.neighbors(v) - {path_next}
+        spare = self.w.neighbors(v) - {path_next}
         if not spare:
             return None
         if len(spare) > 1:
@@ -486,12 +896,14 @@ class _Engine:
         return next(iter(spare))
 
     def _cycle_route(
-        self, g: Graph, cyc: Cycle, u: int, v: int
-    ) -> tuple[Sequence[Graph], Finish]:
+        self, p: _Piece, cyc: Cycle, u: int, v: int
+    ) -> tuple[Sequence[_Piece], Finish]:
+        g = self.w
+        size = p.size
         tag = "Claim1-Cycle3" if len(cyc) == 3 else "Claim1-Cycle4"
-        self.step(tag, g, {"u": u, "v": v}, cycle=list(cyc.ring))
-        rest = g.without_edges(cyc.edges())
-        tris = triangle_components(rest, near=cyc.ring)
+        self.step(tag, size, {"u": u, "v": v}, cycle=list(cyc.ring))
+        g.delete(cyc.edges())
+        tris = triangle_components(g, near=cyc.ring)
         if len(tris) > 1:
             raise self.fail("more than one triangle component around the cycle")
 
@@ -503,34 +915,36 @@ class _Engine:
             pair = merge_cycle_with_triangle(cyc, t)
             self.step(
                 "Subclaim2-Merge",
-                g,
+                size,
                 {"u": u, "v": v},
                 cycle=list(cyc.ring),
                 triangle=list(t),
-                merged=[list(p.vertices) for p in pair],
+                merged=[list(q.vertices) for q in pair],
             )
-            leftover = rest.without_edges(_triangle_edges(t))
-            return self.pieces(leftover, cyc.ring), lambda sub: sub + pair
+            g.delete(_triangle_edges(t))
+            return self.pieces(p, cyc.ring), lambda out, start: out.extend(pair)
 
         ring = cyc.ring
-        if rest.m == 0:
+        if p.m == 0:
             # The component was exactly this cycle; two arcs cover it.
             if len(ring) == 3:
                 raise self.fail("bare triangle survived to the cycle route")
-            return (), lambda _: [Path(ring[:3]), Path((ring[2], ring[3], ring[0]))]
+            arcs = (Path(ring[:3]), Path((ring[2], ring[3], ring[0])))
+            return (), lambda out, start: out.extend(arcs)
 
-        n, m = g.non_isolated_count(), g.m
+        n, m = size
 
-        def merge(sub: list[Path]) -> list[Path]:
-            merged, w_index = _merge_cycle(cyc, sub, u, v)
-            detail = {"cycle": list(ring), "into": list(sub[w_index].vertices)}
+        def merge(out: list[Path], start: int) -> None:
+            merged, w_index = _merge_cycle(cyc, out[start:], u, v)
+            detail = {"cycle": list(ring), "into": list(out[start + w_index].vertices)}
             self.steps.append(TraceStep("Subclaim1-Merge", {"u": u, "v": v}, n, m, detail))
-            return merged
+            out[start:] = merged
 
-        return self.pieces(rest, ring), merge
+        return self.pieces(p, ring), merge
 
-    def reduce_pendant(self, g: Graph, v: int) -> tuple[Sequence[Graph], Finish]:
+    def reduce_pendant(self, p: _Piece, v: int) -> tuple[Sequence[_Piece], Finish]:
         """Unique low vertex is a pendant: peel it through its support x."""
+        g = self.w
         x = next(iter(g.neighbors(v)))
         if g.degree(x) != 3:
             raise self.fail(f"pendant support {x} has degree {g.degree(x)}, not 3")
@@ -541,13 +955,12 @@ class _Engine:
         w = deg3[0]
         z = next(t for t in others if t != w)
 
-        g_minus_v = g.without_vertex(v)
-        cut_x, comps = is_cut_vertex(g_minus_v, x)
-        if not cut_x:
-            p0 = self.shortest(g, w, z, {x}, "pendant support detour")
+        comps = g.sides((w, z), p.verts, skip={v, x})
+        if not comps:
+            p0 = self.shortest(w, z, {x}, "pendant support detour")
             carrier = Path(p0.vertices + (x,))
             return self.run_plan(
-                g,
+                p,
                 "Claim2-Case1",
                 {"v": v, "x": x, "w": w, "z": z},
                 carrier,
@@ -555,80 +968,83 @@ class _Engine:
                 reattach=((w, x), (x, v)),
                 clean_removal=True,
             )
-        return self._pendant_split(g, v, x, w, z, comps)
+        return self._pendant_split(p, v, x, w, z, comps)
 
     def _pendant_split(
         self,
-        g: Graph,
+        p: _Piece,
         v: int,
         x: int,
         w: int,
         z: int,
-        comps: tuple[Component, ...],
-    ) -> tuple[Sequence[Graph], Finish]:
+        comps: list[tuple[int, ...]],
+    ) -> tuple[Sequence[_Piece], Finish]:
+        g = self.w
         if len(comps) != 2:
             raise self.fail(f"support split into {len(comps)} pieces, expected 2")
-        side = {p: c for c in comps for p in c.vertices}
+        side = {q: c for c in comps for q in c}
         if side.get(w) is side.get(z):
             raise self.fail("support neighbours landed in the same piece")
         for t in (w, z):
             if g.degree(t) != 3:
                 raise self.fail(f"split neighbour {t} has degree {g.degree(t)}, not 3")
         comp_i, comp_j = side[z], side[w]
-        if comp_j.n % 2 != 0 and comp_i.n % 2 == 0:
+        if len(comp_j) % 2 != 0 and len(comp_i) % 2 == 0:
             w, z = z, w
             comp_i, comp_j = comp_j, comp_i
-        if comp_i.is_triangle or comp_j.is_triangle:
+        if self.is_triangle(comp_i) or self.is_triangle(comp_j):
             raise self.fail("triangle piece beside a pendant support")
 
-        if comp_j.n % 2 == 1:
+        if len(comp_j) % 2 == 1:
             # Both sides odd: two extra paths cover the support's star.
             self.step(
                 "Claim2-Case2-OddOdd",
-                g,
+                p.size,
                 {"v": v, "x": x, "w": w, "z": z},
-                sides=[list(comp_i.vertices), list(comp_j.vertices)],
+                sides=[list(comp_i), list(comp_j)],
             )
-            split = g.restricted_to(comp_i.vertices + comp_j.vertices)
+            g.delete([norm_edge(v, x), norm_edge(x, w), norm_edge(x, z)])
             star = [Path((w, x, z)), Path((v, x))]
-            return self.pieces(split, (w, z)), lambda sub: sub + star
+            return self.pieces(p, (w, z)), lambda out, start: out.extend(star)
 
-        cut_w, sub_comps = is_cut_vertex(comp_j.graph, w)
-        if cut_w:
-            return self._pendant_even_cut(g, v, x, w, z, comp_i, sub_comps)
-        return self._pendant_even_open(g, v, x, w, z)
+        sub_comps = g.sides(g.neighbors(w) - {x}, set(comp_j), skip={x, w})
+        if sub_comps:
+            return self._pendant_even_cut(p, v, x, w, z, comp_i, sub_comps)
+        return self._pendant_even_open(p, v, x, w, z)
 
-    def _pendant_even_cut(self, g, v, x, w, z, comp_i, sub_comps):
+    def _pendant_even_cut(self, p, v, x, w, z, comp_i, sub_comps):
+        g = self.w
         if len(sub_comps) != 2:
             raise self.fail(f"{len(sub_comps)} pieces under the even side")
-        odd = [c for c in sub_comps if c.n % 2 == 1]
-        even = [c for c in sub_comps if c.n % 2 == 0]
+        odd = [c for c in sub_comps if len(c) % 2 == 1]
+        even = [c for c in sub_comps if len(c) % 2 == 0]
         if len(odd) != 1 or len(even) != 1:
             raise self.fail("even side did not split odd/even")
         j1, j2 = odd[0], even[0]
-        a_opts = sorted(g.neighbors(w) & set(j1.vertices))
-        b_opts = sorted(g.neighbors(w) & set(j2.vertices))
+        a_opts = sorted(g.neighbors(w) & set(j1))
+        b_opts = sorted(g.neighbors(w) & set(j2))
         if len(a_opts) != 1 or len(b_opts) != 1:
             raise self.fail("cut neighbour counts off in the even side")
         a, b = a_opts[0], b_opts[0]
-        if j1.is_triangle:
+        if self.is_triangle(j1):
             raise self.fail("odd piece is a triangle beside the pendant support")
         self.step(
             "Claim2-Subcase2.1",
-            g,
+            p.size,
             {"v": v, "x": x, "w": w, "z": z, "a": a, "b": b},
-            odd_side=list(j1.vertices),
-            even_side=list(j2.vertices),
+            odd_side=list(j1),
+            even_side=list(j2),
         )
         # Decompose the far side, the odd piece, and the even piece with w.
-        j2w = sorted(j2.vertices + (w,))
-        sides = [list(comp_i.vertices), list(j1.vertices), j2w]
-        self.step("ComponentSplit", g, {}, components=sides)
+        j2w = sorted(j2 + (w,))
+        sides = [list(comp_i), list(j1), j2w]
+        self.step("ComponentSplit", p.size, {}, components=sides)
         star = [Path((a, w, x, z)), Path((v, x))]
-        pieces = (comp_i.graph, j1.graph, g.restricted_to(j2w))
-        return pieces, lambda sub: sub + star
+        g.delete([norm_edge(v, x), norm_edge(x, w), norm_edge(x, z), norm_edge(w, a)])
+        return g.divide(p, sides), lambda out, start: out.extend(star)
 
-    def _pendant_even_open(self, g, v, x, w, z):
+    def _pendant_even_open(self, p, v, x, w, z):
+        g = self.w
         nbrs = sorted(g.neighbors(w) - {x})
         if len(nbrs) != 2:
             raise self.fail(f"support neighbour {w} has stray edges")
@@ -637,10 +1053,10 @@ class _Engine:
             raise self.fail(f"no degree-3 neighbour of {w} inside the even side")
         a = deg3[0]
         b = next(t for t in nbrs if t != a)
-        p0 = self.shortest(g, a, b, {w}, "even-side detour")
+        p0 = self.shortest(a, b, {w}, "even-side detour")
         carrier = Path(p0.vertices + (w,))
         return self.run_plan(
-            g,
+            p,
             "Claim2-Subcase2.2",
             {"v": v, "x": x, "w": w, "z": z, "a": a, "b": b},
             carrier,
@@ -650,66 +1066,73 @@ class _Engine:
         )
 
     def reduce_degree2_cut(
-        self, g: Graph, v: int, comps: tuple[Component, ...]
-    ) -> tuple[Sequence[Graph], Finish]:
+        self, p: _Piece, v: int, comps: list[tuple[int, ...]]
+    ) -> tuple[Sequence[_Piece], Finish]:
         """Unique low vertex of degree 2 is an articulation point."""
+        g = self.w
         if len(comps) != 2:
             raise self.fail(f"degree-2 articulation made {len(comps)} pieces")
         x, y = sorted(g.neighbors(v))
-        side = {p: c for c in comps for p in c.vertices}
+        side = {q: c for c in comps for q in c}
         comp_x, comp_y = side[x], side[y]
         if comp_x is comp_y:
             raise self.fail("both neighbours in one piece despite the split")
-        if comp_y.is_triangle:
+        if self.is_triangle(comp_y):
             raise self.fail("triangle piece across a degree-2 articulation")
         self.step(
             "Claim3",
-            g,
+            p.size,
             {"v": v, "x": x, "y": y},
-            x_side=list(comp_x.vertices),
-            y_side=list(comp_y.vertices),
+            x_side=list(comp_x),
+            y_side=list(comp_y),
         )
-        sides = [list(comp_x.vertices) + [v], list(comp_y.vertices)]
-        self.step("ComponentSplit", g, {}, components=sides)
-        x_plus = comp_x.graph.with_edges([(v, x)])
-        return (x_plus, comp_y.graph), self.reattach(g, [(v, y)])
+        sides = [list(comp_x) + [v], list(comp_y)]
+        self.step("ComponentSplit", p.size, {}, components=sides)
+        # v stays on x's side with the edge vx; vy is reattached.
+        finish = self.reattach([(v, y)])
+        g.delete([norm_edge(v, y)])
+        return g.divide(p, sides), finish
 
-    def reduce_x_cut(self, g: Graph, v: int, x: int) -> tuple[Sequence[Graph], Finish]:
+    def reduce_x_cut(self, p: _Piece, v: int, x: int) -> tuple[Sequence[_Piece], Finish]:
         """The support vertex x is an articulation point of the whole graph."""
+        g = self.w
         y = next(iter(g.neighbors(v) - {x}))
-        p0 = self.shortest(g, x, y, {v}, "support-to-partner detour")
+        p0 = self.shortest(x, y, {v}, "support-to-partner detour")
         z = p0.vertices[1]
         w_opts = sorted(g.neighbors(x) - {v, z})
         if len(w_opts) != 1:
             raise self.fail(f"support {x} should keep exactly one spare edge")
         w = w_opts[0]
-        trimmed = g.without_edges([norm_edge(x, z), norm_edge(v, x)])
-        comps = [c for c in connected_components(trimmed) if c.m > 0]
+        size = p.size
+        finish = self.reattach([(x, z), (v, x)])
+        g.delete([norm_edge(x, z), norm_edge(v, x)])
+        comps = g.sides((x, z, v), p.verts)
         if len(comps) != 2:
-            raise self.fail(f"articulation split made {len(comps)} pieces")
-        side = {p: c for c in comps for p in c.vertices}
+            raise self.fail(f"articulation split made {len(comps) or 1} pieces")
+        side = {q: c for c in comps for q in c}
         comp_a, comp_b = side[x], side[v]
         if comp_a is comp_b:
             raise self.fail("support and low vertex stayed connected")
-        if comp_a.is_triangle or comp_b.is_triangle:
+        if self.is_triangle(comp_a) or self.is_triangle(comp_b):
             raise self.fail("triangle piece across the support articulation")
         self.step(
             "Claim4",
-            g,
+            size,
             {"v": v, "x": x, "y": y, "z": z, "w": w},
-            a_side=list(comp_a.vertices),
-            b_side=list(comp_b.vertices),
+            a_side=list(comp_a),
+            b_side=list(comp_b),
         )
-        sides = [list(comp_a.vertices), list(comp_b.vertices)]
-        self.step("ComponentSplit", g, {}, components=sides)
+        sides = [list(comp_a), list(comp_b)]
+        self.step("ComponentSplit", size, {}, components=sides)
         # Extend within the pieces: x's stub picks up xz, v's picks up vx.
-        return (comp_a.graph, comp_b.graph), self.reattach(g, [(x, z), (v, x)])
+        return g.divide(p, sides), finish
 
     def reduce_case_deg3_neighbor(
-        self, g: Graph, v: int, x: int, z: int
-    ) -> tuple[Sequence[Graph], Finish]:
+        self, p: _Piece, v: int, x: int, z: int
+    ) -> tuple[Sequence[_Piece], Finish]:
         """The support x has a degree-3 neighbour z: reroute through it."""
-        p0 = self.shortest(g, z, v, {x}, "low-vertex detour")
+        g = self.w
+        p0 = self.shortest(z, v, {x}, "low-vertex detour")
         spares = sorted(g.neighbors(z) - {x, p0.vertices[1]})
         if len(spares) != 1:
             raise self.fail(f"degree-3 neighbour {z} kept {len(spares)} spare edges")
@@ -718,7 +1141,7 @@ class _Engine:
             raise self.fail("spare edge of z lands on a shortest detour")
         carrier = Path((t,) + p0.vertices + (x,))
         return self.run_plan(
-            g,
+            p,
             "Case1-Deg3Neighbor",
             {"v": v, "x": x, "z": z, "t": t},
             carrier,
@@ -728,10 +1151,11 @@ class _Engine:
         )
 
     def reduce_case_y3(
-        self, g: Graph, v: int, x: int, y: int
-    ) -> tuple[Sequence[Graph], Finish]:
+        self, p: _Piece, v: int, x: int, y: int
+    ) -> tuple[Sequence[_Piece], Finish]:
         """Both neighbours of v have degree 3 and no degree-3 contacts of
         their own: they share a degree-4 vertex that carries the removal."""
+        g = self.w
         if g.has_edge(x, y):
             raise self.fail(f"supports {x},{y} adjacent yet filtered as contact-free")
         zs = sorted(
@@ -746,7 +1170,7 @@ class _Engine:
         w = w_opts[0]
         carrier = Path((y, z, x, w))
         return self.run_plan(
-            g,
+            p,
             "Subcase2.1-Y3",
             {"v": v, "x": x, "y": y, "z": z, "w": w},
             carrier,
@@ -756,9 +1180,10 @@ class _Engine:
         )
 
     def reduce_case_y4(
-        self, g: Graph, v: int, x: int, y: int
-    ) -> tuple[Sequence[Graph], Finish]:
+        self, p: _Piece, v: int, x: int, y: int
+    ) -> tuple[Sequence[_Piece], Finish]:
         """v's other neighbour has degree 4: it must touch x; peel both."""
+        g = self.w
         if g.degree(y) != 4:
             raise self.fail(f"partner {y} has degree {g.degree(y)}, expected 4")
         if not g.has_edge(x, y):
@@ -767,10 +1192,10 @@ class _Engine:
         if len(z_opts) != 1:
             raise self.fail(f"support {x} should keep one spare neighbour")
         z = z_opts[0]
-        p0 = self.shortest(g, z, v, {x}, "spare-to-low detour")
+        p0 = self.shortest(z, v, {x}, "spare-to-low detour")
         carrier = Path((x,) + p0.vertices)
         return self.run_plan(
-            g,
+            p,
             "Subcase2.2-Y4",
             {"v": v, "x": x, "y": y, "z": z},
             carrier,
@@ -790,7 +1215,11 @@ def _triangle_edges(t: Sequence[int]) -> list[Edge]:
 
 def _closest_pair(g: Graph, low: Sequence[int]) -> tuple[int, int, int] | None:
     """Closest pair among the low vertices as (u, v, distance), ties by
-    (distance, u, v); None if no two of them share a component."""
+    (distance, u, v); None if no two of them share a component.
+
+    One breadth-first search per low vertex: the engine asks it only when the
+    index has no pair within distance 3, and the tests compare the index
+    with it."""
     best: tuple[int, int, int] | None = None  # (dist, u, v)
     low_set = set(low)
     for u in sorted(low):
@@ -872,10 +1301,15 @@ def decompose(g: Graph) -> tuple[Decomposition, ReductionTrace, bool]:
     floor(n/2) over non-isolated vertices.
     """
     degeneracy_order(g)
-    eng = _Engine()
+    eng = _Engine(g)
     comps = connected_components(g)
     if len(comps) > 1:
-        eng.step("ComponentSplit", g, {}, components=[list(c.vertices) for c in comps])
+        eng.step(
+            "ComponentSplit",
+            (g.non_isolated_count(), g.m),
+            {},
+            components=[list(c.vertices) for c in comps],
+        )
     paths: list[Path] = []
     per_component = 0
     met = True
@@ -883,12 +1317,12 @@ def decompose(g: Graph) -> tuple[Decomposition, ReductionTrace, bool]:
         if c.is_triangle:
             a, b, cc = c.vertices
             paths.extend([Path((a, b, cc)), Path((a, cc))])
-            eng.step("Base", c.graph, {}, triangle=list(c.vertices))
+            eng.step("Base", (3, 3), {}, triangle=list(c.vertices))
             per_component += 2
             met = False
         else:
             per_component += c.n // 2
-            paths.extend(eng.solve(c.graph))
+            paths.extend(eng.solve(eng.w.open(c.vertices)))
     claimed = g.non_isolated_count() // 2 if met else per_component
     dec = Decomposition(
         paths=tuple(paths), host=g, claimed_bound=claimed, bound_met=met
@@ -929,24 +1363,7 @@ def absorb_triangles(
         if not on_path & set(key):
             raise TriangleNotComponent(f"{key} never touches the path")
         tris.append(key)
-    return _Engine().absorb(p, tuple(tris))
-
-
-def merge_cycle_into_decomposition(
-    c: Cycle, d: Decomposition, u: int, v: int
-) -> Decomposition:
-    """Split the first path of d meeting c so the result also covers E(c).
-
-    u and v are the cycle's two low-degree vertices; the result has exactly
-    one more path than d, with the claimed bound bumped to match.
-    """
-    merged, _ = _merge_cycle(c, list(d.paths), u, v)
-    return Decomposition(
-        paths=tuple(merged),
-        host=d.host,
-        claimed_bound=d.claimed_bound + 1,
-        bound_met=d.bound_met,
-    )
+    return _Engine(g).absorb(p, tuple(tris))
 
 
 def merge_cycle_with_triangle(c: Cycle, t: Sequence[int]) -> list[Path]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, connected_components, is_cut_vertex, is_two_degenerate
+from .graph import MAX_VERTICES, Graph, connected_components, is_cut_vertex, is_two_degenerate
 
 FAMILIES = (
     "path",
@@ -94,6 +94,8 @@ class GenSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.n > MAX_VERTICES:
+            raise ValueError(f"n must be at most {MAX_VERTICES}")
         if not 0.0 <= self.p2 <= 1.0:
             raise ValueError("p2 must lie in [0, 1]")
 

@@ -2,17 +2,26 @@
 
 Vertices are integer ids in a fixed universe [0, n). Derived graphs (edge
 removals, component views) keep the same universe so ids stay stable; a vertex
-with no remaining edges is simply isolated, never reindexed.
+with no remaining edges is simply isolated, never reindexed. The universe
+holds at most MAX_VERTICES ids, checked before anything is allocated.
+
+The search primitives read a graph only through `neighbors`, `degree` and
+`has_edge`, so they also run on the decomposer's mutable working graph.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
+
+# Largest vertex universe a graph may have: room for 10^5-vertex inputs with
+# ample headroom, while the adjacency of a full universe stays near 220 MB.
+MAX_VERTICES = 10**6
 
 _EMPTY: frozenset[int] = frozenset()
 
@@ -95,6 +104,8 @@ class Graph:
         """Build a graph, rejecting self-loops, duplicates and out-of-range ids."""
         if n < 0:
             raise IdOutOfRange(f"negative vertex count {n}")
+        if n > MAX_VERTICES:
+            raise IdOutOfRange(f"vertex count {n} is over the limit of {MAX_VERTICES}")
         sets: list[set[int]] = [set() for _ in range(n)]
         m = 0
         for u, v in edges:
@@ -258,16 +269,15 @@ class Cycle:
 
 @dataclass(frozen=True)
 class Component:
-    """One connected piece of a graph view.
+    """One connected piece of a graph.
 
-    `graph` is a same-universe view holding only this component's edges.
     Singleton components (no edges) appear when the caller's vertex set
     includes vertices that lost all their edges.
     """
 
     vertices: tuple[int, ...]
-    graph: Graph
     m: int
+    source: Graph = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -276,6 +286,12 @@ class Component:
     @property
     def is_triangle(self) -> bool:
         return self.n == 3 and self.m == 3
+
+    @cached_property
+    def graph(self) -> Graph:
+        """A same-universe view holding only this component's edges, built
+        on first use: listing components costs nothing per universe slot."""
+        return self.source.restricted_to(self.vertices)
 
 
 def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[Component]:
@@ -301,27 +317,18 @@ def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[
         comp = [start]
         seen.add(start)
         queue = [start]
+        ends = 0  # edge ends inside the component
         while queue:
             v = queue.pop()
             nbrs = g.neighbors(v) & allowed if restricted else g.neighbors(v)
+            ends += len(nbrs)
             for w in nbrs:
                 if w not in seen:
                     seen.add(w)
                     comp.append(w)
                     queue.append(w)
         comp.sort()
-        if restricted:
-            view = g.restricted_to(comp)
-        else:
-            # Unrestricted components keep all their vertices' edges, so the
-            # view can share the original adjacency sets.
-            adj = [_EMPTY] * g.n
-            for v in comp:
-                adj[v] = g.neighbors(v)
-            view = Graph(
-                g.n, tuple(adj), sum(g.degree(v) for v in comp) // 2, *_tally(adj, comp)
-            )
-        out.append(Component(vertices=tuple(comp), graph=view, m=view.m))
+        out.append(Component(vertices=tuple(comp), m=ends // 2, source=g))
     return out
 
 
@@ -348,20 +355,27 @@ def triangle_components(
     return sorted(found)
 
 
-def in_one_component(g: Graph, vertices: Iterable[int]) -> bool:
-    """Whether the given vertices that have edges all lie in one component.
+def split_off(g, vertices: Iterable[int], skip: Iterable[int] = ()) -> list[list[int]]:
+    """The components of g - skip that hold some of the given vertices and
+    that a lockstep search walked completely; empty iff those vertices all
+    lie in one component.
 
-    One breadth-first search starts from each such vertex, and the searches
-    advance in lockstep, one vertex each per round; searches that meet merge
-    (Even & Shiloach, J. ACM 1981). The answer is yes once a single search
-    remains, and no as soon as a search runs out of vertices while others
-    remain: it has then walked a whole component that misses them. So
-    confirming a split costs about k times the smaller side for k starts.
+    Only the given vertices that have edges in g take part, each once. One
+    breadth-first search starts from each of them, and the searches advance
+    in lockstep, one vertex each per round; searches that meet merge (Even &
+    Shiloach, J. ACM 1981). A search that runs out of vertices has walked a
+    whole component, which is returned as its vertex list; the searching
+    stops when one search is left, whose component is not listed. So a split
+    costs about k times the smaller sides for k starts. A vertex whose every
+    edge leads into `skip` is a component of its own.
     """
     starts = sorted({v for v in vertices if g.neighbors(v)})
+    skip = set(skip)
     owner = {v: i for i, v in enumerate(starts)}  # vertex -> search that saw it
     merged_into = list(range(len(starts)))
     queues: list[deque[int] | None] = [deque([v]) for v in starts]
+    found = [[v] for v in starts]
+    done: list[list[int]] = []
     left = len(starts)
 
     def root(i: int) -> int:
@@ -375,22 +389,31 @@ def in_one_component(g: Graph, vertices: Iterable[int]) -> bool:
             if q is None:
                 continue
             if not q:
-                return False
+                done.append(found[i])
+                queues[i] = None
+                left -= 1
+                if left == 1:
+                    break
+                continue
             for w in g.neighbors(q.popleft()):
+                if w in skip:
+                    continue
                 j = owner.get(w)
                 if j is None:
                     owner[w] = i
+                    found[i].append(w)
                     q.append(w)
                     continue
                 j = root(j)
                 if j != i:
                     merged_into[j] = i
                     q.extend(queues[j])
+                    found[i].extend(found[j])
                     queues[j] = None
                     left -= 1
                     if left == 1:
-                        return True
-    return True
+                        return done
+    return done
 
 
 def degeneracy_order(g: Graph) -> tuple[int, ...]:

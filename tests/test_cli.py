@@ -68,6 +68,15 @@ class TestDecomposeCommand:
         assert captured.out == ""
         assert captured.err == "error: line 1: header says 99 edges, file has 2\n"
 
+    @pytest.mark.parametrize("text", ("p 1000000000 0\n", "0 999999999\n"))
+    def test_huge_vertex_count_exits_one(self, graph_file, capsys, text):
+        assert main(["decompose", graph_file(text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: vertex count 1000000000 is over the limit of 1000000\n"
+        )
+
     def test_invariant_violation_exits_five_with_trace(self, graph_file, capsys, monkeypatch):
         step = TraceStep(tag="Base", vertices={"u": 0, "v": 1}, n=2, m=1)
 
@@ -180,6 +189,16 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == "error: line 1: header says 99 edges, file has 2\n"
 
+    def test_huge_vertex_count_exits_one(self, graph_file, capsys):
+        g = graph_file("p 1000000000 1\n0 1\n")
+        d = graph_file("paths 1 bound 1 met true\n0 1\n", "dec.txt")
+        assert main(["verify", g, d]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: vertex count 1000000000 is over the limit of 1000000\n"
+        )
+
     def test_malformed_graph_exits_one(self, graph_file, capsys):
         g = graph_file("0 zero\n")
         d = graph_file("paths 1 bound 1 met true\n0 1\n", "dec.txt")
@@ -214,6 +233,8 @@ class TestGenCommand:
     def test_bad_scale_exits_one(self, capsys):
         assert main(["gen", "--family", "theta", "--n", "3"]) == 1
         assert main(["gen", "--family", "fig4a", "--n", "9"]) == 1
+        assert main(["gen", "--n", "1000001"]) == 1
+        assert capsys.readouterr().err.endswith("error: n must be at most 1000000\n")
 
     def test_unknown_family_rejected_by_flags(self, capsys):
         assert main(["gen", "--family", "petersen", "--n", "10"]) == 1

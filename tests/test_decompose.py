@@ -1,25 +1,30 @@
+import gc
 import sys
+import time
 import tracemalloc
+from collections import Counter
 
 import pytest
+from test_golden import corpus
 
 from gallai.decompose import (
     BRANCH_TAGS,
-    Decomposition,
     GeometryMismatch,
     InternalInvariantViolation,
     NoIntersectingPath,
     TriangleNotComponent,
+    _closest_pair,
     _Engine,
+    _merge_cycle,
+    _WorkingGraph,
     absorb_triangles,
     decompose,
     decompose_connected,
     format_decomposition,
-    merge_cycle_into_decomposition,
     merge_cycle_with_triangle,
     parse_decomposition,
 )
-from gallai.generate import GenSpec, generate
+from gallai.generate import GenSpec, family, generate
 from gallai.graph import Cycle, Graph, NotTwoDegenerate, Path
 from gallai.verify import verify_decomposition
 
@@ -201,31 +206,38 @@ class TestBranchFixtures:
 class TestInvariantGuards:
     def test_removal_must_be_carrier_plus_reattach(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        eng = _Engine(g)
         with pytest.raises(InternalInvariantViolation, match="carrier plus reattach"):
-            _Engine().run_plan(
-                g, "Claim1-Path", {}, Path((0, 1, 2)), [(3, 4)], (), clean_removal=False
+            eng.run_plan(
+                eng.w.open(range(5)), "Claim1-Path", {}, Path((0, 1, 2)), [(3, 4)], (),
+                clean_removal=False,
             )
 
     def test_piece_loop_rejects_a_triangle_view(self, monkeypatch):
         # a host whose plan leaves an edge, then a triangle, as its pieces
-        host = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
-        views = [Graph.from_edges(5, [(3, 4)]), Graph.from_edges(5, [(0, 1), (1, 2), (0, 2)])]
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        eng = _Engine(g)
+        host = eng.w.open(range(5))
+        pieces = [eng.w.open([3, 4]), eng.w.open([0, 1, 2])]
         plan = _Engine.plan
 
-        def split_host(self, g):
-            return (views, lambda sub: sub) if g is host else plan(self, g)
+        def split_host(self, p):
+            return (pieces, lambda out, start: None) if p is host else plan(self, p)
 
         monkeypatch.setattr(_Engine, "plan", split_host)
         with pytest.raises(InternalInvariantViolation, match=r"triangle component \(0, 1, 2\)") as exc:
-            _Engine().solve(host)
+            eng.solve(host)
         assert [s.tag for s in exc.value.steps] == ["Base"]
 
     def test_paths_beyond_the_bound_are_rejected(self, monkeypatch):
         host = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         edges = [Path((0, 1)), Path((1, 2)), Path((2, 3))]
-        monkeypatch.setattr(_Engine, "plan", lambda self, g: ((), lambda _: list(edges)))
+        monkeypatch.setattr(
+            _Engine, "plan", lambda self, p: ((), lambda out, _: out.extend(edges))
+        )
+        eng = _Engine(host)
         with pytest.raises(InternalInvariantViolation, match=r"3 paths exceed floor\(4/2\)"):
-            _Engine().solve(host)
+            eng.solve(eng.w.open(range(4)))
 
 
 class TestWorkStack:
@@ -264,6 +276,106 @@ class TestWorkStack:
     def test_peak_memory_grows_about_linearly(self, seed):
         # views already planned are freed, so doubling n about doubles the peak
         assert self.peak_bytes(800, seed) / self.peak_bytes(400, seed) < 2.7
+
+
+class TestManyComponents:
+    @staticmethod
+    def seconds(k):
+        # k disjoint paths on 4 vertices; the best of 3 runs damps timer noise
+        edges = [(4 * i + j, 4 * i + j + 1) for i in range(k) for j in range(3)]
+        g = Graph.from_edges(4 * k, edges)
+        best = float("inf")
+        for _ in range(3):
+            gc.collect()
+            t0 = time.perf_counter()
+            dec, _trace, _met = decompose(g)
+            best = min(best, time.perf_counter() - t0)
+        assert len(dec.paths) == 2 * k
+        return best
+
+    def test_time_grows_about_linearly(self):
+        assert self.seconds(4000) / self.seconds(2000) < 2.7
+
+
+def check_index(monkeypatch):
+    """Make every closest-pair query compare the index with the search over
+    the piece's low vertices; returns a tally of the distances seen."""
+    seen = Counter()
+    closest = _WorkingGraph.closest
+
+    def compared(self, p):
+        got = closest(self, p)
+        want = _closest_pair(self, sorted(p.low))
+        if got is None:
+            assert want is not None and want[2] >= 4, want
+        else:
+            assert got == want
+        seen[want[2]] += 1
+        return got
+
+    monkeypatch.setattr(_WorkingGraph, "closest", compared)
+    return seen
+
+
+class TestClosestPairIndex:
+    def test_matches_the_search_on_the_golden_corpus(self, monkeypatch):
+        seen = check_index(monkeypatch)
+        for g in corpus():
+            decompose(g)
+        assert {1, 2, 3} <= set(seen)
+
+    @pytest.mark.parametrize("p2", (0.3, 0.6, 1.0))
+    @pytest.mark.parametrize("n", (300, 1200, 4800))
+    def test_matches_the_search_on_sweep_graphs(self, monkeypatch, n, p2):
+        seen = check_index(monkeypatch)
+        decompose(generate(GenSpec(n=n, seed=n + int(10 * p2), p2=p2)))
+        assert seen[1] and seen[2]
+
+    @pytest.mark.parametrize("shape", ("friendship", "star", "book", "fan"))
+    def test_matches_the_search_around_hubs(self, monkeypatch, shape):
+        # centres of degree 80 or more keep their low neighbours in a heap
+        k = 80
+        if shape in ("friendship", "star"):
+            g = family(shape, 2 * k + 1)
+        elif shape == "book":
+            g = Graph.from_edges(k + 2, [(h, i) for h in (0, 1) for i in range(2, k + 2)])
+        else:
+            edges = [(0, i) for i in range(1, k + 1)] + [(i, i + 1) for i in range(1, k)]
+            g = Graph.from_edges(k + 1, edges)
+        seen = check_index(monkeypatch)
+        dec, _trace, _met = decompose(g)
+        check(g, dec)
+        assert seen
+
+
+class TestWorkingGraph:
+    def test_pending_pieces_are_disjoint_components_of_host_edges(self, monkeypatch):
+        plan = _Engine.plan
+
+        def checked(self, p):
+            w = self.w
+            pieces = {}
+            for v, nbrs in enumerate(w.adj):
+                # a component not opened yet has no piece
+                if nbrs and w.owner[v] is not None:
+                    pieces.setdefault(id(w.owner[v]), (w.owner[v], []))[1].append(v)
+            assert id(p) in pieces or p.m == 0
+            for q, verts in pieces.values():
+                assert q.verts == set(verts)
+                edges = {(a, b) for a in verts for b in w.adj[a] if a < b}
+                assert all(host.has_edge(a, b) and w.owner[b] is q for a, b in edges)
+                assert q.m == len(edges)
+                assert q.low == {v for v in verts if w.degree(v) <= 2}
+                # every vertex hangs from the root, so the piece is connected
+                for v in verts:
+                    if v != q.root:
+                        up = w.parent[v]
+                        assert w.has_edge(v, up) and w.level[up] == w.level[v] - 1
+            return plan(self, p)
+
+        monkeypatch.setattr(_Engine, "plan", checked)
+        for host in corpus():
+            decompose(host)
 
 
 class TestAbsorbTriangles:
@@ -311,32 +423,21 @@ class TestCycleMerges:
     def test_triangle_into_decomposition(self):
         # path 2-3-4 plus triangle (0,1,2) hanging on vertex 2
         g = Graph.from_edges(5, [(2, 3), (3, 4), (0, 1), (0, 2), (1, 2)])
-        base = Decomposition(
-            paths=(Path((2, 3, 4)),), host=g, claimed_bound=1, bound_met=True
-        )
-        out = merge_cycle_into_decomposition(Cycle((0, 1, 2)), base, 0, 1)
-        assert len(out.paths) == 2
-        assert out.claimed_bound == 2
-        assert edges_of(out.paths) == sorted(g.edges())
+        out, index = _merge_cycle(Cycle((0, 1, 2)), [Path((2, 3, 4))], 0, 1)
+        assert len(out) == 2 and index == 0
+        assert edges_of(out) == sorted(g.edges())
 
     def test_four_cycle_into_decomposition(self):
         # the host path must touch the cycle off the u-v axis
         g = Graph.from_edges(6, [(1, 4), (4, 5), (0, 1), (1, 2), (2, 3), (3, 0)])
-        base = Decomposition(
-            paths=(Path((1, 4, 5)),), host=g, claimed_bound=1, bound_met=True
-        )
-        out = merge_cycle_into_decomposition(Cycle((0, 1, 2, 3)), base, 0, 2)
-        assert [p.vertices for p in out.paths] == [(1, 2, 3, 0), (0, 1, 4, 5)]
-        assert out.claimed_bound == 2
-        assert edges_of(out.paths) == sorted(g.edges())
+        out, index = _merge_cycle(Cycle((0, 1, 2, 3)), [Path((1, 4, 5))], 0, 2)
+        assert [p.vertices for p in out] == [(1, 2, 3, 0), (0, 1, 4, 5)]
+        assert index == 0
+        assert edges_of(out) == sorted(g.edges())
 
     def test_no_contact_raises(self):
-        g = Graph.from_edges(6, [(3, 4), (4, 5), (0, 1), (1, 2), (0, 2)])
-        base = Decomposition(
-            paths=(Path((3, 4, 5)),), host=g, claimed_bound=1, bound_met=True
-        )
         with pytest.raises(NoIntersectingPath):
-            merge_cycle_into_decomposition(Cycle((0, 1, 2)), base, 0, 1)
+            _merge_cycle(Cycle((0, 1, 2)), [Path((3, 4, 5))], 0, 1)
 
     def test_triangle_with_triangle_component(self):
         out = merge_cycle_with_triangle(Cycle((0, 1, 2)), (2, 3, 4))

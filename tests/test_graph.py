@@ -1,8 +1,11 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from gallai.generate import GenSpec, densify, generate
 from gallai.graph import (
+    MAX_VERTICES,
     Component,
     Cycle,
     DuplicateEdge,
@@ -16,11 +19,11 @@ from gallai.graph import (
     connected_components,
     degeneracy_order,
     format_edge_list,
-    in_one_component,
     is_cut_vertex,
     is_two_degenerate,
     parse_edge_list,
     shortest_path,
+    split_off,
     triangle_components,
 )
 
@@ -253,6 +256,21 @@ class TestTextFormat:
             parse_edge_list("p 4 1\n0 1\n1 2\n")
         assert parse_edge_list("p 4 0\n").m == 0
 
+    def test_vertex_count_is_capped_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(IdOutOfRange, match="over the limit of 1000000"):
+                Graph.from_edges(MAX_VERTICES + 1, [])
+            with pytest.raises(GraphError, match="vertex count 1000000000 is over the limit"):
+                parse_edge_list("p 1000000000 0\n")
+            with pytest.raises(GraphError, match="vertex count 1000000000 is over the limit"):
+                parse_edge_list("0 999999999\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one set per vertex would take gigabytes; the refusals take almost nothing
+        assert peak < 100_000
+
     def test_empty_input(self):
         g = parse_edge_list("")
         assert g.n == 0 and g.m == 0
@@ -273,10 +291,19 @@ def assert_tallied(g):
 
 
 def same_piece(g, vertices):
-    """Reference for in_one_component: one connected_components piece holds
-    every given vertex that has edges."""
+    """Reference for split_off: one connected_components piece holds every
+    given vertex that has edges."""
     piece = {v: i for i, c in enumerate(connected_components(g)) for v in c.vertices}
     return len({piece[v] for v in vertices if g.neighbors(v)}) <= 1
+
+
+def in_one_component(g, vertices):
+    """split_off's answer, after checking that each side it lists is a whole
+    component of g."""
+    sides = split_off(g, vertices)
+    pieces = {c.vertices for c in connected_components(g)}
+    assert all(tuple(sorted(side)) in pieces for side in sides)
+    return not sides
 
 
 @st.composite
@@ -301,6 +328,14 @@ def carrier_removals(draw):
             removed.add((min(end, spare[0]), max(end, spare[0])))
     touched = sorted({w for e in removed for w in e})
     return g, g.without_edges(sorted(removed)), touched
+
+
+connected_graphs = st.builds(
+    lambda n, seed, p2: generate(GenSpec(n=n, seed=seed, p2=p2)),
+    st.integers(3, 30),
+    st.integers(0, 2**20),
+    st.sampled_from((0.3, 0.6, 0.9)),
+)
 
 
 class TestStoredCounts:
@@ -353,6 +388,14 @@ class TestSeededProbes:
         _g, h, _touched = case
         starts = data.draw(st.lists(st.integers(0, h.n - 1), max_size=6))
         assert in_one_component(h, starts) == same_piece(h, starts)
+
+    @given(connected_graphs)
+    def test_skipping_a_vertex_finds_its_cut(self, g):
+        for v in range(g.n):
+            sides = split_off(g, g.neighbors(v), skip=[v])
+            cut, comps = is_cut_vertex(g, v)
+            assert bool(sides) == cut
+            assert all(tuple(sorted(side)) in {c.vertices for c in comps} for side in sides)
 
     def test_probe_sees_only_triangles_near_the_starts(self):
         g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7), (7, 5)])
