@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .graph import (
@@ -172,13 +173,11 @@ Finish = Callable[[list[Path], int], None] | Path
 # outnumber live ones by much.
 _PURGE_SLACK = 64
 
-# A vertex of higher degree than this when its component is opened keeps its
-# low neighbours in a heap, so that finding its two least ones stays cheap
-# while many of its edges go (a hub such as a friendship graph's centre).
-_HUB_DEGREE = 32
-
 # Neighbour scans a tree repair may take before a split is searched for
 # directly: a split strands its side, whose levels would only keep growing.
+# A repair that goes on once the piece is known whole stops at 2m scans, what
+# planting its tree afresh costs, since after a cut through a long cycle the
+# levels of a whole arc would climb one step at a time.
 _REPAIR_BUDGET = 200
 
 _NO_EDGES: frozenset[int] = frozenset()
@@ -226,7 +225,12 @@ class _WorkingGraph:
     Two structures follow the deletions.
     - A breadth-first tree of each piece, repaired as its edges go (Even &
       Shiloach, J. ACM 1981): when every vertex still hangs from the root,
-      the piece has not split, and no search is needed to show it.
+      the piece has not split, and no search is needed to show it. Even and
+      Shiloach pair the repair with a lockstep search for the smaller side;
+      here that search (`split_off`) runs only once a repair has taken
+      `_REPAIR_BUDGET` scans. Alone it would pay at every removal for the
+      balls around the removed edges that a detour joins, which grow with n
+      on random sparse graphs, whose short cycles are about log n long.
     - The closest-pair buckets. Every vertex w keeps `low1[w]` and `low2[w]`,
       its two least neighbours of degree 1 or 2 (n when missing). Edges only
       ever disappear, so a vertex turns low once, when its degree drops to
@@ -248,7 +252,6 @@ class _WorkingGraph:
         self.low2 = [n] * n
         self.dirty: list[int] = []  # endpoints of edges deleted since the last flush
         self.entered: list[int] = []  # vertices that turned low since then
-        self.hub_lows: dict[int, list[int]] = {}  # hub -> heap of its low neighbours
 
     def neighbors(self, v: int) -> set[int]:
         return self.adj[v]
@@ -263,12 +266,7 @@ class _WorkingGraph:
 
     def open(self, vertices: Sequence[int]) -> _Piece:
         """The piece of one component of the host, made editable."""
-        adj = self.adj
         for v in vertices:
-            if len(adj[v]) > _HUB_DEGREE:
-                lows = [x for x in adj[v] if len(adj[x]) <= 2]
-                heapq.heapify(lows)
-                self.hub_lows[v] = lows
             self.low1[v], self.low2[v] = self._least_low(v)
         return self._fill(_Piece(), vertices)
 
@@ -326,7 +324,7 @@ class _WorkingGraph:
             p.m -= q.m
             p.low -= q.low
             out.append(q)
-        if p.root not in p.verts or not self.repair(p, None):
+        if p.root not in p.verts or not self.repair(p, 2 * p.m):
             self.plant(p)
         return out
 
@@ -372,12 +370,13 @@ class _WorkingGraph:
     # -- the breadth-first trees -----------------------------------------------
 
     def plant(self, p: _Piece) -> None:
-        """Lay p's tree out afresh, rooted at a vertex of largest degree,
-        which is the last to be isolated."""
+        """Lay p's tree out afresh, rooted at a vertex of largest degree and,
+        among those, of largest id: the reduction works from the least ids
+        up, so this root tends to be the last vertex isolated."""
         adj, level, parent = self.adj, self.level, self.parent
         if not p.verts:
             return
-        root = max(p.verts, key=lambda v: (len(adj[v]), -v))
+        root = max(p.verts, key=lambda v: (len(adj[v]), v))
         p.root = root
         level[root] = 0
         parent[root] = -1
@@ -394,7 +393,7 @@ class _WorkingGraph:
                         nxt.append(x)
             frontier = nxt
 
-    def repair(self, p: _Piece, budget: int | None) -> bool:
+    def repair(self, p: _Piece, budget: int) -> bool:
         """Re-hang the vertices of p whose tree edge was deleted; True when
         every vertex of p hangs from the root again, so p is connected.
 
@@ -420,11 +419,11 @@ class _WorkingGraph:
             ):
                 heapq.heappop(heap)
                 continue
-            work += len(adj[y])
-            if budget is not None and work > budget or lv >= len(p.verts):
+            if work > budget or lv >= len(p.verts):
                 return False
             heapq.heappop(heap)
             for z in adj[y]:
+                work += 1
                 if level[z] == lv - 1:
                     parent[y] = z
                     break
@@ -434,31 +433,18 @@ class _WorkingGraph:
                 for c in adj[y]:
                     if parent[c] == y:
                         heapq.heappush(heap, (level[c], c))
+                work += len(adj[y])
         return True
 
     def _least_low(self, w: int) -> tuple[int, int]:
         adj = self.adj
         m1 = m2 = self.none
-        lows = self.hub_lows.get(w)
-        if lows is None:
-            for x in adj[w]:
-                if x < m2 and len(adj[x]) <= 2:
-                    if x < m1:
-                        m1, m2 = x, m1
-                    else:
-                        m2 = x
-            return m1, m2
-        # a low neighbour stays low while it is a neighbour
-        nbrs = adj[w]
-        while lows and lows[0] not in nbrs:
-            heapq.heappop(lows)
-        if lows:
-            m1 = heapq.heappop(lows)
-            while lows and lows[0] not in nbrs:
-                heapq.heappop(lows)
-            if lows:
-                m2 = lows[0]
-            heapq.heappush(lows, m1)
+        for x in adj[w]:
+            if x < m2 and len(adj[x]) <= 2:
+                if x < m1:
+                    m1, m2 = x, m1
+                else:
+                    m2 = x
         return m1, m2
 
     def flush(self) -> None:
@@ -468,15 +454,12 @@ class _WorkingGraph:
         if not self.dirty:
             return
         adj, owner, low1, low2, none = self.adj, self.owner, self.low1, self.low2, self.none
-        hub_lows = self.hub_lows
         touched = set(self.dirty)
         for c in self.entered:
             if not adj[c]:
                 continue
             for b in adj[c]:
                 touched.add(b)
-                if b in hub_lows:
-                    heapq.heappush(hub_lows[b], c)
                 if len(adj[b]) <= 2:
                     self._push(owner[c], 0, (c, b) if c < b else (b, c))
         self.dirty.clear()
@@ -486,13 +469,12 @@ class _WorkingGraph:
             if m1 == low1[w] and m2 == low2[w]:
                 continue
             p = owner[w]
-            single_before = low2[w] == none and low1[w] == m1
             low1[w], low2[w] = m1, m2
             if m2 < none:
                 self._push(p, 1, (m1, m2, w))
-            elif m1 < none and not single_before:
-                # w has just one low neighbour, and a new one: distance 3
-                # needs its edges to the other vertices with just one
+            elif m1 < none:
+                # w has just one low neighbour now: distance 3 needs its
+                # edges to the other vertices with just one
                 for b in adj[w]:
                     c = low1[b]
                     if c < none and low2[b] == none and c != m1:
@@ -561,7 +543,12 @@ class _Engine:
 
     def __init__(self, g: Graph):
         self.steps: list[TraceStep] = []
-        self.w = _WorkingGraph(g)
+        self.host = g
+
+    @cached_property
+    def w(self) -> _WorkingGraph:
+        # built on first use, so absorbing triangles alone costs no n-slot lists
+        return _WorkingGraph(self.host)
 
     def fail(self, msg: str) -> InternalInvariantViolation:
         return InternalInvariantViolation(msg, self.steps)
@@ -676,7 +663,7 @@ class _Engine:
         comps = g.sides(near, p.verts)
         if not comps:
             # p has at most one edge-bearing component, so it is the view
-            if not g.repair(p, None):
+            if not g.repair(p, 2 * p.m):
                 g.plant(p)
             return [p]
         self.step("ComponentSplit", p.size, {}, components=[list(c) for c in comps])

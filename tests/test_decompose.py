@@ -278,23 +278,36 @@ class TestWorkStack:
         assert self.peak_bytes(800, seed) / self.peak_bytes(400, seed) < 2.7
 
 
+def best_seconds(g):
+    """decompose(g)'s time, the best of 3 runs to damp timer noise, and its
+    decomposition."""
+    best = float("inf")
+    for _ in range(3):
+        gc.collect()
+        t0 = time.perf_counter()
+        dec, _trace, _met = decompose(g)
+        best = min(best, time.perf_counter() - t0)
+    return best, dec
+
+
 class TestManyComponents:
     @staticmethod
     def seconds(k):
-        # k disjoint paths on 4 vertices; the best of 3 runs damps timer noise
+        # k disjoint paths on 4 vertices
         edges = [(4 * i + j, 4 * i + j + 1) for i in range(k) for j in range(3)]
-        g = Graph.from_edges(4 * k, edges)
-        best = float("inf")
-        for _ in range(3):
-            gc.collect()
-            t0 = time.perf_counter()
-            dec, _trace, _met = decompose(g)
-            best = min(best, time.perf_counter() - t0)
+        best, dec = best_seconds(Graph.from_edges(4 * k, edges))
         assert len(dec.paths) == 2 * k
         return best
 
     def test_time_grows_about_linearly(self):
         assert self.seconds(4000) / self.seconds(2000) < 2.7
+
+
+class TestLongCycles:
+    @pytest.mark.parametrize("shape", ("cycle", "theta", "caterpillar"))
+    def test_time_grows_about_linearly(self, shape):
+        # a long cycle or spine keeps a long arc whole after each removal
+        assert best_seconds(family(shape, 8000))[0] / best_seconds(family(shape, 4000))[0] < 2.7
 
 
 def check_index(monkeypatch):
@@ -333,7 +346,7 @@ class TestClosestPairIndex:
 
     @pytest.mark.parametrize("shape", ("friendship", "star", "book", "fan"))
     def test_matches_the_search_around_hubs(self, monkeypatch, shape):
-        # centres of degree 80 or more keep their low neighbours in a heap
+        # a centre of degree 80 loses its low neighbours one by one
         k = 80
         if shape in ("friendship", "star"):
             g = family(shape, 2 * k + 1)
@@ -409,6 +422,14 @@ class TestAbsorbTriangles:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
         with pytest.raises(TriangleNotComponent):
             absorb_triangles(Path((0, 1, 2, 3)), [(1, 2, 3)], g)
+
+    def test_builds_no_working_graph(self, monkeypatch):
+        def refuse(self, g):
+            raise AssertionError("absorb_triangles built the decomposer's working graph")
+
+        monkeypatch.setattr(_WorkingGraph, "__init__", refuse)
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (1, 4), (1, 5), (4, 5)])
+        assert len(absorb_triangles(Path((0, 1, 2, 3)), [(1, 4, 5)], g)) == 2
 
     def test_two_triangles_three_paths(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
