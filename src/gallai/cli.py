@@ -202,7 +202,8 @@ def run_fuzz(
             n = rng.randint(4, max_n)
             p = p2 if p2 is not None else rng.choice((0.3, 0.5, 0.7, 0.9))
             g = generate(GenSpec(n=n, seed=trial_seed, connect=True, p2=p))
-        report.max_n_seen = max(report.max_n_seen, g.non_isolated_count())
+        live = g.non_isolated_count()
+        report.max_n_seen = max(report.max_n_seen, live)
 
         try:
             dec, trace, met = decompose(g)
@@ -214,7 +215,7 @@ def run_fuzz(
         if not verify_decomposition(g, dec).valid:
             fail("InvalidDecomposition")
             continue
-        if not met or len(dec.paths) > g.non_isolated_count() // 2:
+        if not met or len(dec.paths) > live // 2:
             fail("BoundExceeded")
             continue
         if oracle_max_edges and g.m <= oracle_max_edges:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .graph import (
@@ -151,7 +150,6 @@ class Decomposition:
     """
 
     paths: tuple[Path, ...]
-    host: Graph
     claimed_bound: int
     bound_met: bool = True
 
@@ -324,8 +322,7 @@ class _WorkingGraph:
             p.m -= q.m
             p.low -= q.low
             out.append(q)
-        if p.root not in p.verts or not self.repair(p, 2 * p.m):
-            self.plant(p)
+        self.rehang(p)
         return out
 
     def sides(
@@ -436,6 +433,13 @@ class _WorkingGraph:
                 work += len(adj[y])
         return True
 
+    def rehang(self, p: _Piece) -> None:
+        """Bring p's tree up to date once p is known to be one component:
+        finish the repair if it takes at most 2m scans, what planting afresh
+        costs, and plant otherwise or when p's root has left it."""
+        if p.root not in p.verts or not self.repair(p, 2 * p.m):
+            self.plant(p)
+
     def _least_low(self, w: int) -> tuple[int, int]:
         adj = self.adj
         m1 = m2 = self.none
@@ -543,12 +547,7 @@ class _Engine:
 
     def __init__(self, g: Graph):
         self.steps: list[TraceStep] = []
-        self.host = g
-
-    @cached_property
-    def w(self) -> _WorkingGraph:
-        # built on first use, so absorbing triangles alone costs no n-slot lists
-        return _WorkingGraph(self.host)
+        self.w = _WorkingGraph(g)
 
     def fail(self, msg: str) -> InternalInvariantViolation:
         return InternalInvariantViolation(msg, self.steps)
@@ -663,8 +662,7 @@ class _Engine:
         comps = g.sides(near, p.verts)
         if not comps:
             # p has at most one edge-bearing component, so it is the view
-            if not g.repair(p, 2 * p.m):
-                g.plant(p)
+            g.rehang(p)
             return [p]
         self.step("ComponentSplit", p.size, {}, components=[list(c) for c in comps])
         return g.divide(p, comps)
@@ -730,7 +728,7 @@ class _Engine:
 
         def finish(out: list[Path], start: int) -> None:
             extend(out, start)
-            out.extend(self.absorb(carrier, tris))
+            out.extend(_absorb(carrier, tris, self.steps))
 
         return self.pieces(p, touched), finish if reattach or tris else carrier
 
@@ -766,73 +764,6 @@ class _Engine:
                 prev = (idx, new)
 
         return extend
-
-    # -- triangle absorption ------------------------------------------------
-
-    def absorb(self, p: Path, triangles: Sequence[tuple[int, ...]]) -> list[Path]:
-        """Fold j triangle components into the carrier path: j+1 paths out.
-
-        Walks the carrier from its first vertex; the triangle contacted
-        earliest is split off into a path Q while the rest of the carrier is
-        rethreaded into a path R that still visits every later contact point,
-        then the walk goes on along R.
-        """
-        out: list[Path] = []
-        while triangles:
-            pos = {v: i for i, v in enumerate(p.vertices)}
-            contact = []
-            for t in triangles:
-                hits = sorted(pos[v] for v in t if v in pos)
-                if not hits:
-                    raise self.fail(f"triangle {t} never touches the carrier")
-                contact.append((hits[0], hits, t))
-            contact.sort()
-            _, hits, tri = contact[0]
-            verts = p.vertices
-
-            if len(hits) == 3:
-                x, y, z = (verts[i] for i in hits)
-                w = verts[hits[2] - 1]
-                q = Path(verts[: hits[0] + 1] + (y, z, w))
-                r = Path(verts[hits[0] : hits[2]][::-1] + verts[hits[2] :])
-                tag = "Lemma1-Case1"
-                bound = {"x": x, "y": y, "z": z, "w": w}
-            elif len(hits) == 2:
-                x, y = verts[hits[0]], verts[hits[1]]
-                z = next(v for v in tri if v not in pos)
-                w = verts[hits[1] - 1]
-                q = Path(verts[: hits[0] + 1] + (y, w))
-                r = Path(verts[hits[0] : hits[1]][::-1] + (z,) + verts[hits[1] :])
-                tag = "Lemma1-Case2"
-                bound = {"x": x, "y": y, "z": z, "w": w}
-            else:
-                x = verts[hits[0]]
-                y, z = sorted(v for v in tri if v not in pos)
-                q = Path(verts[: hits[0] + 1] + (y, z))
-                r = Path((z,) + verts[hits[0] :])
-                tag = "Lemma1-Case3"
-                bound = {"x": x, "y": y, "z": z}
-
-            scope = set(verts).union(*(set(t) for t in triangles))
-            self.steps.append(
-                TraceStep(
-                    tag=tag,
-                    vertices=bound,
-                    n=len(scope),
-                    m=(len(verts) - 1) + len(triangles) * 3,
-                    detail={
-                        "triangle": list(tri),
-                        "carrier": list(verts),
-                        "q": list(q.vertices),
-                        "r": list(r.vertices),
-                    },
-                )
-            )
-            out.append(q)
-            p = r
-            triangles = tuple(t for t in triangles if t != tri)
-        out.append(p)
-        return out
 
     # -- the reduction branches ---------------------------------------------
 
@@ -1200,6 +1131,76 @@ def _triangle_edges(t: Sequence[int]) -> list[Edge]:
     return [(a, b), (a, c), (b, c)]
 
 
+def _absorb(
+    p: Path, triangles: Sequence[tuple[int, ...]], steps: list[TraceStep]
+) -> list[Path]:
+    """Fold j triangle components into the carrier path: j+1 paths out.
+
+    Walks the carrier from its first vertex; the triangle contacted
+    earliest is split off into a path Q while the rest of the carrier is
+    rethreaded into a path R that still visits every later contact point,
+    then the walk goes on along R. Each fold is logged in `steps`.
+    """
+    out: list[Path] = []
+    while triangles:
+        pos = {v: i for i, v in enumerate(p.vertices)}
+        contact = []
+        for t in triangles:
+            hits = sorted(pos[v] for v in t if v in pos)
+            if not hits:
+                raise InternalInvariantViolation(
+                    f"triangle {t} never touches the carrier", steps
+                )
+            contact.append((hits[0], hits, t))
+        contact.sort()
+        _, hits, tri = contact[0]
+        verts = p.vertices
+
+        if len(hits) == 3:
+            x, y, z = (verts[i] for i in hits)
+            w = verts[hits[2] - 1]
+            q = Path(verts[: hits[0] + 1] + (y, z, w))
+            r = Path(verts[hits[0] : hits[2]][::-1] + verts[hits[2] :])
+            tag = "Lemma1-Case1"
+            bound = {"x": x, "y": y, "z": z, "w": w}
+        elif len(hits) == 2:
+            x, y = verts[hits[0]], verts[hits[1]]
+            z = next(v for v in tri if v not in pos)
+            w = verts[hits[1] - 1]
+            q = Path(verts[: hits[0] + 1] + (y, w))
+            r = Path(verts[hits[0] : hits[1]][::-1] + (z,) + verts[hits[1] :])
+            tag = "Lemma1-Case2"
+            bound = {"x": x, "y": y, "z": z, "w": w}
+        else:
+            x = verts[hits[0]]
+            y, z = sorted(v for v in tri if v not in pos)
+            q = Path(verts[: hits[0] + 1] + (y, z))
+            r = Path((z,) + verts[hits[0] :])
+            tag = "Lemma1-Case3"
+            bound = {"x": x, "y": y, "z": z}
+
+        scope = set(verts).union(*(set(t) for t in triangles))
+        steps.append(
+            TraceStep(
+                tag=tag,
+                vertices=bound,
+                n=len(scope),
+                m=(len(verts) - 1) + len(triangles) * 3,
+                detail={
+                    "triangle": list(tri),
+                    "carrier": list(verts),
+                    "q": list(q.vertices),
+                    "r": list(r.vertices),
+                },
+            )
+        )
+        out.append(q)
+        p = r
+        triangles = tuple(t for t in triangles if t != tri)
+    out.append(p)
+    return out
+
+
 def _closest_pair(g: Graph, low: Sequence[int]) -> tuple[int, int, int] | None:
     """Closest pair among the low vertices as (u, v, distance), ties by
     (distance, u, v); None if no two of them share a component.
@@ -1290,10 +1291,11 @@ def decompose(g: Graph) -> tuple[Decomposition, ReductionTrace, bool]:
     degeneracy_order(g)
     eng = _Engine(g)
     comps = connected_components(g)
+    n = sum(c.n for c in comps)  # the non-isolated vertices
     if len(comps) > 1:
         eng.step(
             "ComponentSplit",
-            (g.non_isolated_count(), g.m),
+            (n, g.m),
             {},
             components=[list(c.vertices) for c in comps],
         )
@@ -1310,10 +1312,8 @@ def decompose(g: Graph) -> tuple[Decomposition, ReductionTrace, bool]:
         else:
             per_component += c.n // 2
             paths.extend(eng.solve(eng.w.open(c.vertices)))
-    claimed = g.non_isolated_count() // 2 if met else per_component
-    dec = Decomposition(
-        paths=tuple(paths), host=g, claimed_bound=claimed, bound_met=met
-    )
+    claimed = n // 2 if met else per_component
+    dec = Decomposition(paths=tuple(paths), claimed_bound=claimed, bound_met=met)
     return dec, ReductionTrace(tuple(eng.steps)), met
 
 
@@ -1350,7 +1350,7 @@ def absorb_triangles(
         if not on_path & set(key):
             raise TriangleNotComponent(f"{key} never touches the path")
         tris.append(key)
-    return _Engine(g).absorb(p, tuple(tris))
+    return _absorb(p, tuple(tris), [])
 
 
 def merge_cycle_with_triangle(c: Cycle, t: Sequence[int]) -> list[Path]:

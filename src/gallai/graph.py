@@ -1,7 +1,7 @@
 """Simple undirected graphs with the deterministic primitives the decomposer needs.
 
 Vertices are integer ids in a fixed universe [0, n). Derived graphs (edge
-removals, component views) keep the same universe so ids stay stable; a vertex
+removals, restrictions) keep the same universe so ids stay stable; a vertex
 with no remaining edges is simply isolated, never reindexed. The universe
 holds at most MAX_VERTICES ids, checked before anything is allocated.
 
@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
@@ -59,45 +58,15 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _tally(
-    adj: Sequence[frozenset[int]], vertices: Iterable[int]
-) -> tuple[int, frozenset[int]]:
-    """Non-isolated count and degree-1-or-2 set of `adj`, given `vertices`
-    that include every vertex with edges."""
-    count = 0
-    low: list[int] = []
-    for v in vertices:
-        d = len(adj[v])
-        if d:
-            count += 1
-            if d <= 2:
-                low.append(v)
-    return count, frozenset(low)
-
-
 class Graph:
-    """Immutable undirected simple graph on the vertex universe [0, n).
+    """Immutable undirected simple graph on the vertex universe [0, n)."""
 
-    Besides the adjacency it keeps its non-isolated vertex count and the set
-    of its vertices of degree 1 or 2. Every derived graph updates both from
-    the vertices it touches, so reading them never scans the universe.
-    """
+    __slots__ = ("n", "_adj", "m")
 
-    __slots__ = ("n", "_adj", "m", "_count", "_low")
-
-    def __init__(
-        self,
-        n: int,
-        adj: tuple[frozenset[int], ...],
-        m: int,
-        count: int,
-        low: frozenset[int],
-    ):
+    def __init__(self, n: int, adj: tuple[frozenset[int], ...], m: int):
         self.n = n
         self._adj = adj
         self.m = m
-        self._count = count
-        self._low = low
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
@@ -119,7 +88,7 @@ class Graph:
             sets[v].add(u)
             m += 1
         adj = tuple(frozenset(s) if s else _EMPTY for s in sets)
-        return cls(n, adj, m, *_tally(adj, range(n)))
+        return cls(n, adj, m)
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -138,28 +107,11 @@ class Graph:
                     yield (u, v)
 
     def non_isolated_count(self) -> int:
-        return self._count
+        return sum(1 for nbrs in self._adj if nbrs)
 
     def low_vertices(self) -> frozenset[int]:
         """The vertices of degree 1 or 2."""
-        return self._low
-
-    def _derived(self, adj: list[frozenset[int]], touched: Iterable[int], m: int) -> "Graph":
-        """This graph with the adjacency of the `touched` vertices, each
-        listed once, taken from `adj`."""
-        old = self._adj
-        count = self._count
-        flipped: list[int] = []  # vertices entering or leaving the low set
-        for w in touched:
-            now, before = len(adj[w]), len(old[w])
-            count += bool(now) - bool(before)
-            if (0 < now <= 2) != (0 < before <= 2):
-                flipped.append(w)
-        low = self._low
-        if flipped:
-            # copying the large set first keeps its table compact
-            low = frozenset(flipped).symmetric_difference(low)
-        return Graph(self.n, tuple(adj), m, count, low)
+        return frozenset(v for v, nbrs in enumerate(self._adj) if 0 < len(nbrs) <= 2)
 
     def without_edges(self, edges: Iterable[Edge]) -> "Graph":
         """Copy of this graph with the given edges masked out."""
@@ -177,7 +129,7 @@ class Graph:
         for w, gone in removal.items():
             left = adj[w] - gone
             adj[w] = left if left else _EMPTY
-        return self._derived(adj, removal, self.m - count)
+        return Graph(self.n, tuple(adj), self.m - count)
 
     def without_vertex(self, v: int) -> "Graph":
         """Mask every edge incident on v (v stays in the universe, isolated)."""
@@ -192,12 +144,11 @@ class Graph:
             inside = self._adj[v] & keep
             adj[v] = frozenset(inside) if inside else _EMPTY
             m += len(inside)
-        return Graph(self.n, tuple(adj), m // 2, *_tally(adj, keep))
+        return Graph(self.n, tuple(adj), m // 2)
 
     def with_edges(self, edges: Iterable[Edge]) -> "Graph":
         """Copy with extra edges added (used for small reattachment views)."""
         adj = list(self._adj)
-        touched: set[int] = set()
         added = 0
         for u, v in edges:
             if u == v:
@@ -206,9 +157,8 @@ class Graph:
                 raise DuplicateEdge(f"edge ({u}, {v}) already present")
             adj[u] = adj[u] | {v}
             adj[v] = adj[v] | {u}
-            touched.update((u, v))
             added += 1
-        return self._derived(adj, touched, self.m + added)
+        return Graph(self.n, tuple(adj), self.m + added)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -277,7 +227,6 @@ class Component:
 
     vertices: tuple[int, ...]
     m: int
-    source: Graph = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -286,12 +235,6 @@ class Component:
     @property
     def is_triangle(self) -> bool:
         return self.n == 3 and self.m == 3
-
-    @cached_property
-    def graph(self) -> Graph:
-        """A same-universe view holding only this component's edges, built
-        on first use: listing components costs nothing per universe slot."""
-        return self.source.restricted_to(self.vertices)
 
 
 def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[Component]:
@@ -328,7 +271,7 @@ def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[
                     comp.append(w)
                     queue.append(w)
         comp.sort()
-        out.append(Component(vertices=tuple(comp), m=ends // 2, source=g))
+        out.append(Component(vertices=tuple(comp), m=ends // 2))
     return out
 
 

@@ -189,39 +189,29 @@ def minimum_decomposition(g: Graph, limit: int = 16) -> OracleResult:
             grow(seq, bits, mask, False, full)
         return full
 
-    def lower_bound(mask: int) -> int:
-        if not mask:
-            return 0
-        deg: Counter[int] = Counter()
-        mm = mask
-        while mm:
-            low = mm & -mm
-            a, b = edges[low.bit_length() - 1]
-            deg[a] += 1
-            deg[b] += 1
-            mm ^= low
-        odd = sum(1 for d in deg.values() if d % 2)
-        return max(1, odd // 2)
-
     memo: dict[int, int] = {0: 0}
     choice: dict[int, tuple[tuple[int, ...], int]] = {}
 
-    def solve(mask: int) -> int:
+    def solve(mask: int, odd: int) -> int:
+        # odd: bitmask of the vertices of odd degree in the edges of mask
         if mask in memo:
             return memo[mask]
         best = m + 1
         for seq, bits in candidates(mask):
             rest = mask ^ bits
-            if 1 + lower_bound(rest) >= best:
+            # a path flips the parity of its two ends only
+            left = odd ^ (1 << seq[0]) ^ (1 << seq[-1])
+            if 1 + (max(1, left.bit_count() // 2) if rest else 0) >= best:
                 continue
-            total = 1 + solve(rest)
+            total = 1 + solve(rest, left)
             if total < best:
                 best = total
                 choice[mask] = (seq, bits)
         memo[mask] = best
         return best
 
-    size = solve((1 << m) - 1)
+    odd = sum(1 << v for v in range(g.n) if g.degree(v) % 2)
+    size = solve((1 << m) - 1, odd)
     paths: list[Path] = []
     mask = (1 << m) - 1
     while mask:

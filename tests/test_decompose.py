@@ -278,36 +278,40 @@ class TestWorkStack:
         assert self.peak_bytes(800, seed) / self.peak_bytes(400, seed) < 2.7
 
 
-def best_seconds(g):
-    """decompose(g)'s time, the best of 3 runs to damp timer noise, and its
-    decomposition."""
-    best = float("inf")
-    for _ in range(3):
-        gc.collect()
-        t0 = time.perf_counter()
-        dec, _trace, _met = decompose(g)
-        best = min(best, time.perf_counter() - t0)
-    return best, dec
+def time_ratio(small, large):
+    """decompose's time on `large` over its time on `small`, each the best of
+    5 runs to damp timer noise. The runs alternate between the two graphs, so
+    a drift in the machine's speed slows both alike instead of landing in the
+    ratio."""
+    best = [float("inf"), float("inf")]
+    for _ in range(5):
+        for i, g in enumerate((small, large)):
+            gc.collect()
+            t0 = time.perf_counter()
+            decompose(g)
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best[1] / best[0]
 
 
 class TestManyComponents:
     @staticmethod
-    def seconds(k):
+    def paths(k):
         # k disjoint paths on 4 vertices
         edges = [(4 * i + j, 4 * i + j + 1) for i in range(k) for j in range(3)]
-        best, dec = best_seconds(Graph.from_edges(4 * k, edges))
-        assert len(dec.paths) == 2 * k
-        return best
+        return Graph.from_edges(4 * k, edges)
 
     def test_time_grows_about_linearly(self):
-        assert self.seconds(4000) / self.seconds(2000) < 2.7
+        small, large = self.paths(2000), self.paths(4000)
+        assert time_ratio(small, large) < 2.7
+        dec, _trace, _met = decompose(large)
+        assert len(dec.paths) == 2 * 4000
 
 
 class TestLongCycles:
     @pytest.mark.parametrize("shape", ("cycle", "theta", "caterpillar"))
     def test_time_grows_about_linearly(self, shape):
         # a long cycle or spine keeps a long arc whole after each removal
-        assert best_seconds(family(shape, 8000))[0] / best_seconds(family(shape, 4000))[0] < 2.7
+        assert time_ratio(family(shape, 4000), family(shape, 8000)) < 2.7
 
 
 def check_index(monkeypatch):

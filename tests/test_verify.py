@@ -1,7 +1,9 @@
+import hashlib
 from types import SimpleNamespace
 
 import pytest
 
+from gallai.generate import GenSpec, dense_instance, generate
 from gallai.graph import Graph, Path
 from gallai.verify import (
     FAILURE_KINDS,
@@ -128,6 +130,21 @@ class TestOddLowerBound:
         assert odd_degree_lower_bound(Graph.from_edges(n, edges)) == expected
 
 
+WITNESS_DIGEST = "ae22948a94d7e5ecc148cec78132728a115006ec9f798290a01659464b2ae8bc"
+
+
+def oracle_population():
+    """Seeded generated and dense graphs with at most 12 edges."""
+    for s in range(300):
+        g = generate(GenSpec(n=5 + s % 4, seed=s, p2=(0.3, 0.6, 0.9)[s % 3]))
+        if g.m <= 12:
+            yield g
+    for s in range(300):
+        g = dense_instance(s, max_n=8)
+        if g.m <= 12:
+            yield g
+
+
 class TestOracle:
     @pytest.mark.parametrize(
         "n,edges,expected",
@@ -181,3 +198,12 @@ class TestOracle:
         a = minimum_decomposition(g)
         b = minimum_decomposition(g)
         assert a.witness.paths == b.witness.paths
+
+    def test_witnesses_are_pinned(self):
+        # sizes and witness paths over a seeded population: a faster search
+        # or pruning bound must still find the same first minimum
+        h = hashlib.sha256()
+        for g in oracle_population():
+            size, witness = minimum_decomposition(g)
+            h.update(repr((size, [p.vertices for p in witness.paths])).encode())
+        assert h.hexdigest() == WITNESS_DIGEST
