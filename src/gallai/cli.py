@@ -172,6 +172,8 @@ def run_fuzz(
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if oracle_max_edges < 0:
+        raise ValueError("oracle_max_edges must be nonnegative")
     if max_n < 4:
         raise ValueError("max_n must be at least 4 (smaller graphs are all trivial)")
     report = FuzzReport(trials=trials)

@@ -188,44 +188,49 @@ def densify(g: Graph, seed: int, max_rounds: int | None = None) -> Graph:
     machinery to raise the old favourite instead.
     """
     rng = random.Random(seed)
+    # the working neighbour sets and degrees, updated on each accepted edge;
+    # degrees only grow, so the live vertices stay the same and a vertex
+    # leaves `lows` for good once it reaches degree 3
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    deg = [len(s) for s in nbrs]
+    live = [v for v in range(g.n) if deg[v]]
+    lows = [v for v in live if deg[v] <= 2]
     unfixable: set[int] = set()
     rounds = 0
     cap = max_rounds if max_rounds is not None else 4 * g.n + 20
     while rounds < cap:
         rounds += 1
-        lows = sorted(g.low_vertices())
         if len(lows) <= 1:
             break
-        low_set = set(lows)
-        survivor = min(lows, key=lambda v: (v not in unfixable, g.degree(v), v))
+        survivor = min(lows, key=lambda v: (v not in unfixable, deg[v], v))
         todo = [v for v in lows if v != survivor and v not in unfixable]
         if not todo:
             break
         v = todo[0]
-        nbrs = g.neighbors(v)
-        two_away = {u for w in nbrs for u in g.neighbors(w)} - nbrs - {v}
-        pool = [
-            u
-            for u in range(g.n)
-            if u != v and u != survivor and g.neighbors(u) and u not in nbrs
-        ]
+        near = nbrs[v]
+        # also holds v and maybe some of near, which are never candidates
+        two_away = {u for w in near for u in nbrs[w]}
+        # the tiers fill in id order, which the shuffles start from
         tiers: list[list[int]] = [[] for _ in range(4)]
-        for u in pool:
-            tiers[(0 if u in low_set else 1) + (0 if u in two_away else 2)].append(u)
+        for u in live:
+            if u != v and u != survivor and u not in near:
+                tiers[(0 if deg[u] <= 2 else 1) + (0 if u in two_away else 2)].append(u)
         order: list[int] = []
         for t in tiers:
-            t.sort()
             rng.shuffle(t)
             order += t
 
-        placed = False
         for u in order:
             candidate = g.with_edges([(min(u, v), max(u, v))])
             if is_two_degenerate(candidate):
                 g = candidate
-                placed = True
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+                deg[u] += 1
+                deg[v] += 1
+                lows = [w for w in lows if deg[w] <= 2]
                 break
-        if not placed:
+        else:
             unfixable.add(v)
     return g
 

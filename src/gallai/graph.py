@@ -387,11 +387,30 @@ def degeneracy_order(g: Graph) -> tuple[int, ...]:
 
 
 def is_two_degenerate(g: Graph) -> bool:
-    try:
-        degeneracy_order(g)
-    except NotTwoDegenerate:
-        return False
-    return True
+    """Whether every subgraph of g has a vertex of degree <= 2.
+
+    A linear stack peel (Matula & Beck, J. ACM 1983): a vertex is flagged
+    gone and pushed once its remaining degree is at most 2, and popping it
+    lowers its neighbours' degrees. Peeling is confluent, so whatever the
+    order, what never gets flagged is the 3-core, and g is 2-degenerate
+    exactly when that is empty. Unlike `degeneracy_order` this builds no
+    order and no error, which is what `densify` needs for its many checks.
+    It takes a `Graph` only, since it reads the adjacency tuple directly.
+    """
+    adj = g._adj
+    deg = [len(nbrs) for nbrs in adj]
+    gone = [d <= 2 for d in deg]
+    stack = [v for v in range(g.n) if gone[v]]
+    left = g.n - len(stack)  # vertices not yet flagged
+    while stack and left:
+        for w in adj[stack.pop()]:
+            if not gone[w]:
+                deg[w] -= 1
+                if deg[w] == 2:
+                    gone[w] = True
+                    stack.append(w)
+                    left -= 1
+    return not left
 
 
 def shortest_path(

@@ -272,6 +272,14 @@ class TestFuzzCommand:
         assert main(["fuzz", "--trials", "1", "--max-n", "3"]) == 1
         assert main(["fuzz", "--trials", "-1"]) == 1
 
+    def test_negative_oracle_limit_exits_one(self, capsys):
+        assert main(["fuzz", "--trials", "2", "--oracle-max-edges", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: oracle_max_edges must be nonnegative\n"
+        with pytest.raises(ValueError):
+            run_fuzz(trials=2, max_n=8, seed=0, oracle_max_edges=-1)
+
     def test_oracle_flag_accepted(self, capsys):
         assert main(["fuzz", "--trials", "4", "--max-n", "6", "--oracle-max-edges", "9"]) == 0
 

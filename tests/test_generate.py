@@ -1,3 +1,6 @@
+import hashlib
+import importlib
+
 import pytest
 
 from gallai.decompose import BRANCH_TAGS, decompose, decompose_connected
@@ -17,6 +20,7 @@ from gallai.generate import (
 from gallai.graph import (
     Graph,
     connected_components,
+    format_edge_list,
     is_cut_vertex,
     is_two_degenerate,
 )
@@ -29,6 +33,16 @@ def is_connected(g):
 
 def lows(g):
     return [v for v in range(g.n) if g.neighbors(v) and g.degree(v) <= 2]
+
+
+# densify's output over the DENSIFY_CASES below, pinned: a faster densify
+# must keep its rng calls and candidate order
+DENSIFY_DIGEST = "e1b5200f3dce47a42682f2070d8bf7e4a03b9da195747403b34b44e31e055e39"
+
+# (n, seed, p2, max_rounds)
+DENSIFY_CASES = [
+    (n, s, p, None) for n in (30, 60, 120) for s in range(5) for p in (0.3, 0.9)
+] + [(60, 7, 0.6, 5), (120, 8, 0.3, 5)]
 
 
 class TestGenSpec:
@@ -171,6 +185,39 @@ class TestDensify:
         g = family("path", 30)
         d = densify(g, seed=1, max_rounds=3)
         assert d.m <= g.m + 3
+
+    def test_outputs_are_pinned(self):
+        h = hashlib.sha256()
+        for n, s, p, rounds in DENSIFY_CASES:
+            d = densify(generate(GenSpec(n, s, p2=p)), s, max_rounds=rounds)
+            h.update(format_edge_list(d).encode())
+        assert h.hexdigest() == DENSIFY_DIGEST
+
+    def test_checks_each_candidate_through_the_module_global(self, monkeypatch):
+        # the benchmark's tracer wraps these two names to count densify's
+        # checks and accepts; each candidate must be built by `with_edges`
+        # and checked once by generate's `is_two_degenerate`
+        built, checked, accepted = [], [], []
+        with_edges = Graph.with_edges
+        gen = importlib.import_module("gallai.generate")
+        check = gen.is_two_degenerate
+
+        def counting_with_edges(self, edges):
+            built.append(with_edges(self, edges))
+            return built[-1]
+
+        def counting_check(h):
+            checked.append(h)
+            accepted.append(check(h))
+            return accepted[-1]
+
+        monkeypatch.setattr(Graph, "with_edges", counting_with_edges)
+        monkeypatch.setattr(gen, "is_two_degenerate", counting_check)
+        g = generate(GenSpec(n=40, seed=2, p2=0.6))
+        d = densify(g, seed=2)
+        assert len(checked) == len(built) > d.m - g.m > 0
+        assert all(a is b for a, b in zip(checked, built))
+        assert sum(accepted) == d.m - g.m
 
 
 class TestDenseBuildingBlocks:

@@ -1,14 +1,17 @@
 """Randomized invariants, cross-checked against independent computations."""
 
+from itertools import combinations
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gallai.decompose import decompose, format_decomposition, parse_decomposition
-from gallai.generate import GenSpec, densify, generate
+from gallai.generate import GenSpec, _capped_strip, densify, generate
 from gallai.graph import (
     Graph,
     NoPath,
+    NotTwoDegenerate,
     connected_components,
     degeneracy_order,
     format_edge_list,
@@ -97,6 +100,73 @@ class TestGraphInvariants:
     @given(graphs())
     def test_edge_list_text_round_trip(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
+
+
+@st.composite
+def edge_sets(draw, max_n=12):
+    """Any simple graph on at most max_n vertices; about half the pairs are
+    edges, so most of them are not 2-degenerate."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def densified_plus_one_edge(draw):
+    """A densified graph with one non-edge added: the candidates densify checks."""
+    d = densify(draw(graphs(min_n=5, max_n=20)), seed=draw(st.integers(0, 2**10)))
+    missing = [e for e in combinations(range(d.n), 2) if not d.has_edge(*e)]
+    return d.with_edges([draw(st.sampled_from(missing))])
+
+
+def peels_completely(g):
+    """The reference answer: `degeneracy_order` does not get stuck."""
+    try:
+        degeneracy_order(g)
+    except NotTwoDegenerate:
+        return False
+    return True
+
+
+_K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+class TestTwoDegeneratePeel:
+    @settings(max_examples=300)
+    @given(edge_sets())
+    def test_matches_degeneracy_order_on_any_graph(self, g):
+        assert is_two_degenerate(g) == peels_completely(g)
+
+    @settings(max_examples=60)
+    @given(densified_plus_one_edge())
+    def test_matches_degeneracy_order_on_densify_candidates(self, g):
+        assert is_two_degenerate(g) == peels_completely(g)
+
+    @pytest.mark.parametrize(
+        "n,edges,expected",
+        [
+            (0, [], True),
+            (5, [], True),
+            (4, _K4, False),
+            (5, _K4 + [(3, 4)], False),
+            (5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)], False),
+        ],
+        ids=["empty", "isolated", "k4", "k4-pendant", "wheel-w5"],
+    )
+    def test_fixed_cases(self, n, edges, expected):
+        g = Graph.from_edges(n, edges)
+        assert is_two_degenerate(g) is expected
+        assert peels_completely(g) is expected
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_capped_strip_takes_no_more_edges(self, n):
+        # 2n - 3 edges is the most a 2-degenerate graph can have
+        g = _capped_strip(n)
+        assert is_two_degenerate(g)
+        for e in combinations(range(n), 2):
+            if not g.has_edge(*e):
+                assert not is_two_degenerate(g.with_edges([e]))
 
 
 class TestDecomposerInvariants:
