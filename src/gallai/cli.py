@@ -2,10 +2,11 @@
 instances, and run the fuzz loop with branch-coverage statistics.
 
 Exit statuses are a total function of outcomes:
-  decompose  0 bound met | 2 valid but bound unmet | 1 parse or degeneracy error
-             | 5 internal invariant violated (reason, then trace JSON, on stderr)
+  decompose  0 bound met | 2 valid but bound unmet | 1 parse, degeneracy or
+             write error | 5 internal invariant violated (reason, then trace
+             JSON, on stderr)
   verify     0 valid | 3 invalid | 1 parse error
-  gen        0 written | 1 unknown family or bad flags
+  gen        0 written | 1 unknown family, bad flags or write error
   fuzz       0 all trials passed | 4 any failure
 Bad flags exit 1 everywhere.
 
@@ -72,12 +73,19 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str) -> bool:
+    """Write text to the file at path, or to stdout for None or -; False,
+    after one `error:` line, when the file cannot be written."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_decompose(args) -> int:
@@ -109,7 +117,8 @@ def cmd_decompose(args) -> int:
                 + "\n"
                 for s in trace.steps
             )
-    _write(args.output, out)
+    if not _write(args.output, out):
+        return 1
     return 0 if met else 2
 
 
@@ -148,8 +157,7 @@ def cmd_gen(args) -> int:
     except (UnknownFamily, ValueError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write(args.output, format_edge_list(g))
-    return 0
+    return 0 if _write(args.output, format_edge_list(g)) else 1
 
 
 def run_fuzz(

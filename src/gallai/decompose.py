@@ -186,21 +186,21 @@ class _Piece:
 
     It keeps the view's non-isolated vertices `verts`, its edge count `m`,
     its set `low` of degree-1-or-2 vertices, the root of its breadth-first
-    tree, and three heaps of candidates for its closest low pair, at
-    distance 1, 2 and 3 (see `_WorkingGraph.closest`). Heap entries go stale
-    as the graph changes and are dropped when they surface or when the heap
-    is purged.
+    tree, and a heap of candidates for its closest low pair, each entry
+    led by its distance, 1, 2 or 3 (see `_WorkingGraph.closest`). Heap
+    entries go stale as the graph changes and are dropped when they surface
+    or when the heap is purged.
     """
 
-    __slots__ = ("verts", "m", "low", "root", "heaps", "caps")
+    __slots__ = ("verts", "m", "low", "root", "heap", "cap")
 
     def __init__(self):
         self.verts: set[int] = set()
         self.m = 0
         self.low: set[int] = set()
         self.root = -1
-        self.heaps: list[list[tuple[int, ...]]] = [[], [], []]
-        self.caps = [_PURGE_SLACK] * 3
+        self.heap: list[tuple[int, ...]] = []
+        self.cap = _PURGE_SLACK
 
     @property
     def count(self) -> int:
@@ -271,10 +271,8 @@ class _WorkingGraph:
     def _fill(self, p: _Piece, vertices: Iterable[int]) -> _Piece:
         """Give p the given vertices, which must be whole components, with
         their counts, tree and buckets."""
-        adj, owner, low1, low2, none = self.adj, self.owner, self.low1, self.low2, self.none
-        h1: list[tuple[int, ...]] = []
-        h2: list[tuple[int, ...]] = []
-        h3: list[tuple[int, ...]] = []
+        adj, owner = self.adj, self.owner
+        h: list[tuple[int, ...]] = []
         ends = 0
         for v in vertices:
             owner[v] = p
@@ -285,20 +283,14 @@ class _WorkingGraph:
             p.verts.add(v)
             if len(nbrs) <= 2:
                 p.low.add(v)
-                h1.extend((v, b) for b in nbrs if b > v and len(adj[b]) <= 2)
-            a = low1[v]
-            if low2[v] < none:
-                h2.append((a, low2[v], v))
-            elif a < none:
-                for b in nbrs:
-                    c = low1[b]
-                    if b > v and c < none and low2[b] == none and c != a:
-                        h3.append((a, c, v, b) if a < c else (c, a, v, b))
+                h.extend((1, v, b) for b in nbrs if b > v and len(adj[b]) <= 2)
+            # an edge between two vertices with one low neighbour each gets
+            # an entry from both ends; the second is harmless
+            self._witness(v, h)
         p.m += ends // 2
-        for k, h in enumerate((h1, h2, h3)):
-            heapq.heapify(h)
-            p.heaps[k] = h
-            p.caps[k] = 2 * len(h) + _PURGE_SLACK
+        heapq.heapify(h)
+        p.heap = h
+        p.cap = 2 * len(h) + _PURGE_SLACK
         self.plant(p)
         return p
 
@@ -465,46 +457,56 @@ class _WorkingGraph:
             for b in adj[c]:
                 touched.add(b)
                 if len(adj[b]) <= 2:
-                    self._push(owner[c], 0, (c, b) if c < b else (b, c))
+                    self._push(owner[c], (1, c, b) if c < b else (1, b, c))
         self.dirty.clear()
         self.entered.clear()
+        fresh: list[tuple[int, ...]] = []
         for w in touched:
             m1, m2 = self._least_low(w) if adj[w] else (none, none)
             if m1 == low1[w] and m2 == low2[w]:
                 continue
-            p = owner[w]
             low1[w], low2[w] = m1, m2
-            if m2 < none:
-                self._push(p, 1, (m1, m2, w))
-            elif m1 < none:
-                # w has just one low neighbour now: distance 3 needs its
-                # edges to the other vertices with just one
-                for b in adj[w]:
-                    c = low1[b]
-                    if c < none and low2[b] == none and c != m1:
-                        self._push(p, 2, (m1, c, w, b) if m1 < c else (c, m1, w, b))
+            self._witness(w, fresh)
+        for e in fresh:
+            self._push(owner[e[3]], e)
 
     # -- the closest-pair index ----------------------------------------------
 
-    def _push(self, p: _Piece, k: int, entry: tuple[int, ...]) -> None:
-        h = p.heaps[k]
-        heapq.heappush(h, entry)
-        if len(h) > p.caps[k]:
-            h = [e for e in h if self._live(p, k, e)]
-            heapq.heapify(h)
-            p.heaps[k] = h
-            p.caps[k] = 2 * len(h) + _PURGE_SLACK
+    def _witness(self, w: int, out: list[tuple[int, ...]]) -> None:
+        """Append the entries at distance 2 or 3 that w's least low
+        neighbours, low1[w] and low2[w], make, each with w fourth."""
+        low1, low2, none = self.low1, self.low2, self.none
+        a = low1[w]
+        if low2[w] < none:
+            out.append((2, a, low2[w], w))
+        elif a < none:
+            # w has just one low neighbour: distance 3 needs its edges to
+            # the other vertices with just one
+            for b in self.adj[w]:
+                c = low1[b]
+                if c < none and low2[b] == none and c != a:
+                    out.append((3, a, c, w, b) if a < c else (3, c, a, w, b))
 
-    def _live(self, p: _Piece, k: int, e: tuple[int, ...]) -> bool:
+    def _push(self, p: _Piece, entry: tuple[int, ...]) -> None:
+        h = p.heap
+        heapq.heappush(h, entry)
+        if len(h) > p.cap:
+            h = [e for e in h if self._live(p, e)]
+            heapq.heapify(h)
+            p.heap = h
+            p.cap = 2 * len(h) + _PURGE_SLACK
+
+    def _live(self, p: _Piece, e: tuple[int, ...]) -> bool:
         adj = self.adj
-        if k == 0:
-            # both ends were low when pushed, and stay low while they touch
-            a, b = e
-            return self.owner[a] is p and b in adj[a]
+        k = e[0]
         if k == 1:
-            l1, l2, w = e
+            # both ends were low when pushed, and stay low while they touch
+            _, a, b = e
+            return self.owner[a] is p and b in adj[a]
+        if k == 2:
+            _, l1, l2, w = e
             return self.owner[w] is p and self.low1[w] == l1 and self.low2[w] == l2
-        lo, hi, a, b = e
+        _, lo, hi, a, b = e
         if self.owner[a] is not p or b not in adj[a]:
             return False
         x, y = self.low1[a], self.low1[b]
@@ -523,17 +525,17 @@ class _WorkingGraph:
           different low neighbours, low1[a] and low1[b]. Only edges whose
           ends have one low neighbour each get entries.
 
-        Each heap keeps an entry for every live candidate, so its least live
-        entry is the answer for its distance.
+        The heap keeps an entry for every live candidate, led by its
+        distance, so its least live entry is the answer.
         """
         self.flush()
-        for k in range(3):
-            h = p.heaps[k]
-            while h and not self._live(p, k, h[0]):
-                heapq.heappop(h)
-            if h:
-                return h[0][0], h[0][1], k + 1
-        return None
+        h = p.heap
+        while h and not self._live(p, h[0]):
+            heapq.heappop(h)
+        if not h:
+            return None
+        e = h[0]
+        return e[1], e[2], e[0]
 
 
 class _Engine:
@@ -688,13 +690,11 @@ class _Engine:
         tag: str,
         vertices: dict[str, int],
         carrier: Path,
-        pre_removed: Sequence[Edge],
         reattach: Sequence[tuple[int, int]],
-        clean_removal: bool,
         **detail,
     ) -> tuple[Sequence[_Piece], Finish]:
-        """Remove pre_removed + carrier; the finish reattaches, then absorbs
-        the triangles the removal left.
+        """Remove the reattach edges, then the carrier; the finish reattaches,
+        then absorbs the triangles the removal left.
 
         The view is connected, so every component left by a removal contains
         an endpoint of a removed edge: the searches start from those alone.
@@ -702,14 +702,13 @@ class _Engine:
         g = self.w
         size = p.size
         carrier_edges = set(carrier.edges())
-        removed = carrier_edges | set(pre_removed)
-        if removed != carrier_edges | {norm_edge(a, b) for a, b in reattach}:
-            raise self.fail(f"{tag}: removed edges are not the carrier plus reattach edges")
+        pre_removed = [norm_edge(a, b) for a, b in reattach]
+        removed = carrier_edges.union(pre_removed)
         extend = self.reattach(reattach)
 
         g.delete(pre_removed)
         pre_ends = [w for e in pre_removed for w in e]
-        if clean_removal and triangle_components(g, near=pre_ends):
+        if pre_ends and triangle_components(g, near=pre_ends):
             raise self.fail(f"{tag}: edge removal exposed a triangle component")
         g.delete(carrier_edges)
         touched = pre_ends + list(carrier.vertices)
@@ -795,9 +794,7 @@ class _Engine:
                 "Claim1-Path",
                 {"u": u, "v": v},
                 Path(seq),
-                pre_removed=(),
                 reattach=(),
-                clean_removal=False,
                 distance=dist,
             )
 
@@ -843,19 +840,11 @@ class _Engine:
             return self.pieces(p, cyc.ring), lambda out, start: out.extend(pair)
 
         ring = cyc.ring
-        if p.m == 0:
-            # The component was exactly this cycle; two arcs cover it.
-            if len(ring) == 3:
-                raise self.fail("bare triangle survived to the cycle route")
-            arcs = (Path(ring[:3]), Path((ring[2], ring[3], ring[0])))
-            return (), lambda out, start: out.extend(arcs)
-
-        n, m = size
 
         def merge(out: list[Path], start: int) -> None:
             merged, w_index = _merge_cycle(cyc, out[start:], u, v)
-            detail = {"cycle": list(ring), "into": list(out[start + w_index].vertices)}
-            self.steps.append(TraceStep("Subclaim1-Merge", {"u": u, "v": v}, n, m, detail))
+            into = list(out[start + w_index].vertices)
+            self.step("Subclaim1-Merge", size, {"u": u, "v": v}, cycle=list(ring), into=into)
             out[start:] = merged
 
         return self.pieces(p, ring), merge
@@ -882,9 +871,7 @@ class _Engine:
                 "Claim2-Case1",
                 {"v": v, "x": x, "w": w, "z": z},
                 carrier,
-                pre_removed=(norm_edge(v, x), norm_edge(x, w)),
                 reattach=((w, x), (x, v)),
-                clean_removal=True,
             )
         return self._pendant_split(p, v, x, w, z, comps)
 
@@ -978,9 +965,7 @@ class _Engine:
             "Claim2-Subcase2.2",
             {"v": v, "x": x, "w": w, "z": z, "a": a, "b": b},
             carrier,
-            pre_removed=(norm_edge(v, x), norm_edge(x, w), norm_edge(w, a)),
             reattach=((a, w), (w, x), (x, v)),
-            clean_removal=True,
         )
 
     def reduce_degree2_cut(
@@ -1063,9 +1048,7 @@ class _Engine:
             "Case1-Deg3Neighbor",
             {"v": v, "x": x, "z": z, "t": t},
             carrier,
-            pre_removed=(norm_edge(x, z),),
             reattach=((x, z),),
-            clean_removal=True,
         )
 
     def reduce_case_y3(
@@ -1092,9 +1075,7 @@ class _Engine:
             "Subcase2.1-Y3",
             {"v": v, "x": x, "y": y, "z": z, "w": w},
             carrier,
-            pre_removed=(norm_edge(v, x), norm_edge(v, y)),
             reattach=((y, v), (v, x)),
-            clean_removal=False,
         )
 
     def reduce_case_y4(
@@ -1117,9 +1098,7 @@ class _Engine:
             "Subcase2.2-Y4",
             {"v": v, "x": x, "y": y, "z": z},
             carrier,
-            pre_removed=(norm_edge(x, y), norm_edge(x, v)),
             reattach=((y, x), (x, v)),
-            clean_removal=True,
         )
 
 
@@ -1254,24 +1233,14 @@ def _merge_cycle(
             break
     if w_index is None:
         raise NoIntersectingPath("no decomposition path meets the cycle")
-    w = d[w_index]
-    pos = {vv: i for i, vv in enumerate(w.vertices)}
-
-    if len(ring) == 3:
-        c = contacts[0]
-        w1 = Path(w.vertices[: pos[c] + 1] + (v, u))
-        w2 = Path((u,) + w.vertices[pos[c] :])
-    else:
-        present = [c for c in contacts if c in pos]
-        if len(present) == 2:
-            first, second = sorted(present, key=lambda c: pos[c])
-            w1 = Path(w.vertices[: pos[first] + 1] + (v, second, u))
-            w2 = Path((u,) + w.vertices[pos[first] :])
-        else:
-            first = present[0]
-            other = next(c for c in contacts if c != first)
-            w1 = Path(w.vertices[: pos[first] + 1] + (v, other, u))
-            w2 = Path((u,) + w.vertices[pos[first] :])
+    w = d[w_index].vertices
+    pos = {vv: i for i, vv in enumerate(w)}
+    # cut the host path at its first contact c: u, v and the other contacts
+    # close the prefix into w1, and u opens the suffix as w2
+    c = min((x for x in contacts if x in pos), key=pos.__getitem__)
+    rest = tuple(x for x in contacts if x != c)
+    w1 = Path(w[: pos[c] + 1] + (v,) + rest + (u,))
+    w2 = Path((u,) + w[pos[c] :])
     out = list(d)
     out[w_index : w_index + 1] = [w1, w2]
     return out, w_index

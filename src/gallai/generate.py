@@ -265,16 +265,16 @@ def _capped_strip(n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _block(n: int, seed: int, p2: float, attempts: int = 8) -> tuple[Graph, int]:
+def _block(n: int, seed: int, p2: float) -> tuple[Graph, int]:
     """A densified block with a unique low vertex of degree 2.
 
     The low vertex must not be an articulation point, so gluing on it never
-    entangles pre-existing cut structure. Random densified attempts come
-    first for variety; the deterministic strip stands in when none of them
-    ends clean (full density is a narrow target). Returns (graph, its low
-    vertex); requires n >= 5, below which no such graph exists.
+    entangles pre-existing cut structure. Eight random densified attempts
+    come first for variety; the deterministic strip stands in when none of
+    them ends clean (full density is a narrow target). Returns (graph, its
+    low vertex); requires n >= 5, below which no such graph exists.
     """
-    for k in range(attempts):
+    for k in range(8):
         s = seed + 1000003 * k
         g = densify(generate(GenSpec(n=n, seed=s, connect=True, p2=p2)), seed=s)
         lows = sorted(g.low_vertices())

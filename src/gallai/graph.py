@@ -460,7 +460,8 @@ def is_cut_vertex(g: Graph, v: int) -> tuple[bool, tuple[Component, ...]]:
     rest = [u for u in range(g.n) if g.neighbors(u) and u != v]
     if not rest:
         return (False, ())
-    comps = connected_components(g.without_vertex(v), within=rest)
+    # `within` drops v's edges: each neighbour set is cut down to rest
+    comps = connected_components(g, within=rest)
     return (len(comps) > 1, tuple(comps))
 
 

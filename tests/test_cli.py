@@ -116,6 +116,13 @@ class TestDecomposeCommand:
         assert capsys.readouterr().out == ""
         assert dest.read_text().startswith("paths ")
 
+    @pytest.mark.parametrize("dest", ("missing/out.txt", "."), ids=("no-dir", "a-dir"))
+    def test_unwritable_output_exits_one(self, graph_file, tmp_path, capsys, dest):
+        assert main(["decompose", graph_file(C4), "-o", str(tmp_path / dest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_json_payload(self, graph_file, capsys):
         assert main(["decompose", graph_file(C4), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -243,6 +250,13 @@ class TestGenCommand:
         dest = tmp_path / "g.txt"
         assert main(["gen", "--n", "9", "-o", str(dest)]) == 0
         assert parse_edge_list(dest.read_text()).n == 9
+
+    @pytest.mark.parametrize("dest", ("missing/g.txt", "."), ids=("no-dir", "a-dir"))
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, dest):
+        assert main(["gen", "--n", "5", "-o", str(tmp_path / dest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_no_connected_flag_accepted(self, capsys):
         assert main(["gen", "--n", "15", "--seed", "4", "--no-connected"]) == 0

@@ -204,14 +204,12 @@ class TestBranchFixtures:
 
 
 class TestInvariantGuards:
-    def test_removal_must_be_carrier_plus_reattach(self):
-        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    def test_removing_the_reattach_edges_must_expose_no_triangle(self):
+        # dropping the edge 3-0 leaves the triangle 0-1-2 as a component
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
         eng = _Engine(g)
-        with pytest.raises(InternalInvariantViolation, match="carrier plus reattach"):
-            eng.run_plan(
-                eng.w.open(range(5)), "Claim1-Path", {}, Path((0, 1, 2)), [(3, 4)], (),
-                clean_removal=False,
-            )
+        with pytest.raises(InternalInvariantViolation, match="exposed a triangle component"):
+            eng.run_plan(eng.w.open(range(5)), "Claim2-Case1", {}, Path((3, 4)), [(3, 0)])
 
     def test_piece_loop_rejects_a_triangle_view(self, monkeypatch):
         # a host whose plan leaves an edge, then a triangle, as its pieces
@@ -458,6 +456,17 @@ class TestCycleMerges:
         out, index = _merge_cycle(Cycle((0, 1, 2, 3)), [Path((1, 4, 5))], 0, 2)
         assert [p.vertices for p in out] == [(1, 2, 3, 0), (0, 1, 4, 5)]
         assert index == 0
+        assert edges_of(out) == sorted(g.edges())
+
+    def test_four_cycle_into_a_path_through_both_contacts(self):
+        # the first path misses the cycle; the second meets 3, then 1
+        edges = [(7, 8), (3, 4), (3, 5), (1, 5), (1, 6), (0, 1), (1, 2), (2, 3), (3, 0)]
+        g = Graph.from_edges(9, edges)
+        out, index = _merge_cycle(
+            Cycle((0, 1, 2, 3)), [Path((7, 8)), Path((4, 3, 5, 1, 6))], 0, 2
+        )
+        assert [p.vertices for p in out] == [(7, 8), (4, 3, 2, 1, 0), (0, 3, 5, 1, 6)]
+        assert index == 1
         assert edges_of(out) == sorted(g.edges())
 
     def test_no_contact_raises(self):
