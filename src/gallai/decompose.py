@@ -839,15 +839,13 @@ class _Engine:
             g.delete(_triangle_edges(t))
             return self.pieces(p, cyc.ring), lambda out, start: out.extend(pair)
 
-        ring = cyc.ring
-
         def merge(out: list[Path], start: int) -> None:
             merged, w_index = _merge_cycle(cyc, out[start:], u, v)
             into = list(out[start + w_index].vertices)
-            self.step("Subclaim1-Merge", size, {"u": u, "v": v}, cycle=list(ring), into=into)
+            self.step("Subclaim1-Merge", size, {"u": u, "v": v}, cycle=list(cyc.ring), into=into)
             out[start:] = merged
 
-        return self.pieces(p, ring), merge
+        return self.pieces(p, cyc.ring), merge
 
     def reduce_pendant(self, p: _Piece, v: int) -> tuple[Sequence[_Piece], Finish]:
         """Unique low vertex is a pendant: peel it through its support x."""
