@@ -320,7 +320,8 @@ def dense_instance(seed: int, max_n: int, p2: float | None = None) -> Graph:
     chosen odd/odd, odd/even, and odd/(split even) to land each parity case,
     and a degree-2 vertex hanging beside a bridging support (the support
     articulation shape). Falls back to the plain shape when max_n leaves no
-    room.
+    room. Only the blocks the chosen shape glues are built: two for kinds
+    1, 2, 3 and 5, three for kind 4.
     """
     rng = random.Random(seed)
     n = rng.randint(4, max_n)
@@ -347,23 +348,25 @@ def dense_instance(seed: int, max_n: int, p2: float | None = None) -> Graph:
     odd1 = sized(5, third, 1)
     odd2 = sized(5, third, 1)
     even1 = sized(6, third, 0)
-    b1 = _block(odd1, rng.randrange(1 << 30), p)
-    b2 = _block(odd2, rng.randrange(1 << 30), p)
-    b3 = _block(even1, rng.randrange(1 << 30), p)
+    # all three seeds are drawn whatever the kind, so a block's seed does
+    # not depend on which of the others are built
+    s1, s2, s3 = (rng.randrange(1 << 30) for _ in range(3))
+    b1 = _block(odd1, s1, p)
 
+    if kind == 3:
+        # pendant over a connector with an odd and an even side
+        return _hang(_splice(b1, _block(even1, s3, p)))
+    b2 = _block(odd2, s2, p)
     if kind == 1:
         # degree-2 articulation between two blocks
         return _splice(b1, b2)[0]
     if kind == 2:
         # pendant over a connector with two odd sides
         return _hang(_splice(b1, b2))
-    if kind == 3:
-        # pendant over a connector with an odd and an even side
-        return _hang(_splice(b1, b3))
     if kind == 4:
         # pendant over a connector whose even side is itself a spliced pair,
         # so the even side splits odd/even under its own connector
-        return _hang(_splice(b1, _splice(b2, b3)))
+        return _hang(_splice(b1, _splice(b2, _block(even1, s3, p))))
     # bridge two blocks with a support x, then hang a degree-2 vertex off x
     # and an interior vertex; x stays an articulation point of the result
     (g1, l1), (g2, l2) = b1, b2

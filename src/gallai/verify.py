@@ -152,7 +152,10 @@ def minimum_decomposition(g: Graph, limit: int = 16) -> OracleResult:
 
     Branches on every simple path through the lowest-indexed remaining edge,
     memoizes on the set of remaining edges, and prunes with the odd-degree
-    lower bound. Deterministic: the witness is the first minimum found under
+    lower bound. The simple paths through edge i that use only edges >= i
+    are listed once per graph; a mask whose lowest edge is i takes, in list
+    order, the entries that lie inside it, which are exactly its paths
+    through i. Deterministic: the witness is the first minimum found under
     sorted adjacency. Raises TooLarge when m exceeds `limit`.
     """
     edges = list(g.edges())
@@ -177,18 +180,22 @@ def minimum_decomposition(g: Graph, limit: int = 16) -> OracleResult:
                 nxt = seq + (u,) if at_end else (u,) + seq
                 grow(nxt, bits | bit, mask, at_end, out)
 
-    def candidates(mask: int) -> list[tuple[tuple[int, ...], int]]:
-        # Every simple path through the lowest remaining edge, each exactly
-        # once: fix the edge's orientation, extend rightward first, then
-        # leftward from each right-extension.
-        a, b = edges[(mask & -mask).bit_length() - 1]
+    def through(i: int) -> list[tuple[tuple[int, ...], int, int]]:
+        # Every simple path through edge i on edges >= i, each exactly once:
+        # fix the edge's orientation, extend rightward first, then leftward
+        # from each right-extension. Each entry carries its end-parity mask.
+        # Filtering a depth-first list to a mask keeps the depth-first order
+        # of the same search run inside that mask.
+        a, b = edges[i]
+        above = ((1 << m) - 1) >> i << i
         rights: list[tuple[tuple[int, ...], int]] = []
-        grow((a, b), mask & -mask, mask, True, rights)
+        grow((a, b), 1 << i, above, True, rights)
         full: list[tuple[tuple[int, ...], int]] = []
         for seq, bits in rights:
-            grow(seq, bits, mask, False, full)
-        return full
+            grow(seq, bits, above, False, full)
+        return [(seq, bits, (1 << seq[0]) ^ (1 << seq[-1])) for seq, bits in full]
 
+    paths_from = [through(i) for i in range(m)]
     memo: dict[int, int] = {0: 0}
     choice: dict[int, tuple[tuple[int, ...], int]] = {}
 
@@ -197,10 +204,13 @@ def minimum_decomposition(g: Graph, limit: int = 16) -> OracleResult:
         if mask in memo:
             return memo[mask]
         best = m + 1
-        for seq, bits in candidates(mask):
+        outside = ~mask
+        for seq, bits, ends in paths_from[(mask & -mask).bit_length() - 1]:
+            if bits & outside:
+                continue
             rest = mask ^ bits
             # a path flips the parity of its two ends only
-            left = odd ^ (1 << seq[0]) ^ (1 << seq[-1])
+            left = odd ^ ends
             if 1 + (max(1, left.bit_count() // 2) if rest else 0) >= best:
                 continue
             total = 1 + solve(rest, left)

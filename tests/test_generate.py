@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import random
 
 import pytest
 
@@ -43,6 +44,23 @@ DENSIFY_DIGEST = "e1b5200f3dce47a42682f2070d8bf7e4a03b9da195747403b34b44e31e055e
 DENSIFY_CASES = [
     (n, s, p, None) for n in (30, 60, 120) for s in range(5) for p in (0.3, 0.9)
 ] + [(60, 7, 0.6, 5), (120, 8, 0.3, 5)]
+
+
+# dense_instance's output over DENSE_CASES, pinned with the parent of the
+# change that builds only the blocks a shape glues; the small budgets pin the
+# kind fallbacks, which the golden corpus never reaches
+DENSE_DIGEST = "ffeae08b333853098988dc825bfa0624dcddb12c964f3ab63ee80516a80774e5"
+
+# (seed, max_n)
+DENSE_CASES = [(s, max_n) for max_n in (4, 11, 12, 13, 19, 48) for s in range(60)]
+
+
+def dense_kind(seed):
+    """The shape dense_instance(seed, max_n=48) builds: its third draw."""
+    rng = random.Random(seed)
+    rng.randint(4, 48)
+    rng.choice((0.4, 0.6, 0.8, 0.95))
+    return rng.randrange(6)
 
 
 class TestGenSpec:
@@ -279,6 +297,32 @@ class TestDenseInstance:
 
     def test_deterministic(self):
         assert dense_instance(5, max_n=40) == dense_instance(5, max_n=40)
+
+    def test_outputs_are_pinned(self):
+        h = hashlib.sha256()
+        for s, max_n in DENSE_CASES:
+            h.update(format_edge_list(dense_instance(s, max_n)).encode())
+        assert h.hexdigest() == DENSE_DIGEST
+
+    def test_builds_only_the_blocks_it_glues(self, monkeypatch):
+        # every glued block lands in the output whole, beside one or more
+        # connector, pendant or support vertices; a block built and dropped
+        # would push the sizes past the vertex count
+        gen = importlib.import_module("gallai.generate")
+        block = gen._block
+        sizes = []
+
+        def recording_block(n, seed, p2):
+            sizes.append(n)
+            return block(n, seed, p2)
+
+        monkeypatch.setattr(gen, "_block", recording_block)
+        seeds = range(30)
+        assert {dense_kind(s) for s in seeds} == set(range(6))
+        for s in seeds:
+            sizes.clear()
+            g = dense_instance(s, max_n=48)
+            assert sum(sizes) < g.n, (s, dense_kind(s), sizes, g.n)
 
     def test_branch_coverage_smoke(self):
         seen = set()

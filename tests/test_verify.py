@@ -1,4 +1,5 @@
 import hashlib
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -145,6 +146,25 @@ def oracle_population():
             yield g
 
 
+LIMIT_WITNESS_DIGEST = "66cd9ef6c098bc2f055e7315bc4c6013fea134e62389fa60ac1a00f13c01337a"
+
+
+def limit_population():
+    """Graphs with 13 or 14 edges, the top of the fuzzer's oracle limit:
+    trials drawn as `run_fuzz(max_n=20)` draws them, then dense graphs."""
+    for s in range(1500):
+        rng = random.Random(s)
+        n = rng.randint(4, 20)
+        p = rng.choice((0.3, 0.5, 0.7, 0.9))
+        g = generate(GenSpec(n=n, seed=s, p2=p))
+        if 13 <= g.m <= 14:
+            yield g
+    for s in range(300):
+        g = dense_instance(s, max_n=8)
+        if 13 <= g.m <= 14:
+            yield g
+
+
 class TestOracle:
     @pytest.mark.parametrize(
         "n,edges,expected",
@@ -207,3 +227,11 @@ class TestOracle:
             size, witness = minimum_decomposition(g)
             h.update(repr((size, [p.vertices for p in witness.paths])).encode())
         assert h.hexdigest() == WITNESS_DIGEST
+
+    def test_witnesses_at_the_fuzz_limit_are_pinned(self):
+        # the same pin at the limit run_fuzz and acceptance check 2 use
+        h = hashlib.sha256()
+        for g in limit_population():
+            size, witness = minimum_decomposition(g, limit=14)
+            h.update(repr((size, [p.vertices for p in witness.paths])).encode())
+        assert h.hexdigest() == LIMIT_WITNESS_DIGEST
