@@ -31,7 +31,7 @@ from .decompose import (
     parse_decomposition,
 )
 from .generate import FAMILIES, GenSpec, UnknownFamily, dense_instance, family, generate
-from .graph import GraphError, format_edge_list, parse_edge_list
+from .graph import MAX_VERTICES, GraphError, format_edge_list, parse_edge_list
 from .verify import TooLarge, minimum_decomposition, verify_decomposition
 
 # family fixtures that pre-seed the fuzz histogram, at canonical sizes
@@ -184,6 +184,8 @@ def run_fuzz(
         raise ValueError("oracle_max_edges must be nonnegative")
     if max_n < 4:
         raise ValueError("max_n must be at least 4 (smaller graphs are all trivial)")
+    if max_n > MAX_VERTICES:
+        raise ValueError(f"max_n must be at most {MAX_VERTICES}")
     report = FuzzReport(trials=trials)
     for name, size in _SEED_FAMILIES:
         _dec, trace, _met = decompose(family(name, size))

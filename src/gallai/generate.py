@@ -186,6 +186,14 @@ def densify(g: Graph, seed: int, max_rounds: int | None = None) -> Graph:
     closes triangles instead of welding far-apart regions. A low vertex that
     cannot be raised at all is adopted as the new survivor, freeing the
     machinery to raise the old favourite instead.
+
+    The rounds stop once the graph has 2k - 3 edges, k its non-isolated
+    vertices: no 2-degenerate graph on k >= 2 such vertices has more, since
+    peeling a vertex of degree <= 2 at a time drops at most 2 edges per
+    vertex until the last two, which share at most 1. Edges only join those
+    k vertices, so from then on every candidate would fail and no round
+    could change the graph; the stop skips only rng draws that no output
+    depends on.
     """
     rng = random.Random(seed)
     # the working neighbour sets and degrees, updated on each accepted edge;
@@ -200,7 +208,7 @@ def densify(g: Graph, seed: int, max_rounds: int | None = None) -> Graph:
     cap = max_rounds if max_rounds is not None else 4 * g.n + 20
     while rounds < cap:
         rounds += 1
-        if len(lows) <= 1:
+        if len(lows) <= 1 or g.m == 2 * len(live) - 3:
             break
         survivor = min(lows, key=lambda v: (v not in unfixable, deg[v], v))
         todo = [v for v in lows if v != survivor and v not in unfixable]

@@ -211,7 +211,7 @@ def minimum_decomposition(g: Graph, limit: int = 16) -> OracleResult:
             rest = mask ^ bits
             # a path flips the parity of its two ends only
             left = odd ^ ends
-            if 1 + (max(1, left.bit_count() // 2) if rest else 0) >= best:
+            if 1 + ((left.bit_count() >> 1 or 1) if rest else 0) >= best:
                 continue
             total = 1 + solve(rest, left)
             if total < best:

@@ -13,7 +13,7 @@ import gallai
 from gallai.cli import FuzzReport, build_parser, main, run_fuzz
 from gallai.decompose import InternalInvariantViolation, NoIntersectingPath, TraceStep, _Engine
 from gallai.generate import family
-from gallai.graph import format_edge_list, parse_edge_list
+from gallai.graph import MAX_VERTICES, format_edge_list, parse_edge_list
 
 TRIANGLE = "p 3 3\n0 1\n1 2\n0 2\n"
 K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -293,6 +293,17 @@ class TestFuzzCommand:
         assert captured.err == "error: oracle_max_edges must be nonnegative\n"
         with pytest.raises(ValueError):
             run_fuzz(trials=2, max_n=8, seed=0, oracle_max_edges=-1)
+
+    @pytest.mark.parametrize("max_n", [MAX_VERTICES + 1, 2 * MAX_VERTICES])
+    def test_max_n_over_the_vertex_limit_exits_one(self, max_n, capsys, monkeypatch):
+        # the limit is checked before the seed families are decomposed
+        monkeypatch.setattr("gallai.cli.decompose", lambda g: pytest.fail("decomposed"))
+        assert main(["fuzz", "--trials", "1", "--max-n", str(max_n)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: max_n must be at most {MAX_VERTICES}\n"
+        with pytest.raises(ValueError):
+            run_fuzz(trials=0, max_n=max_n, seed=0)
 
     def test_oracle_flag_accepted(self, capsys):
         assert main(["fuzz", "--trials", "4", "--max-n", "6", "--oracle-max-edges", "9"]) == 0

@@ -55,6 +55,24 @@ DENSE_DIGEST = "ffeae08b333853098988dc825bfa0624dcddb12c964f3ab63ee80516a80774e5
 DENSE_CASES = [(s, max_n) for max_n in (4, 11, 12, 13, 19, 48) for s in range(60)]
 
 
+def edge_list_digest(graphs):
+    """One sha256 over the edge-list text of each graph, in order."""
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(format_edge_list(g).encode())
+    return h.hexdigest()
+
+
+def densify_outputs():
+    for n, s, p, rounds in DENSIFY_CASES:
+        yield densify(generate(GenSpec(n, s, p2=p)), s, max_rounds=rounds)
+
+
+def dense_outputs():
+    for s, max_n in DENSE_CASES:
+        yield dense_instance(s, max_n)
+
+
 def dense_kind(seed):
     """The shape dense_instance(seed, max_n=48) builds: its third draw."""
     rng = random.Random(seed)
@@ -205,11 +223,7 @@ class TestDensify:
         assert d.m <= g.m + 3
 
     def test_outputs_are_pinned(self):
-        h = hashlib.sha256()
-        for n, s, p, rounds in DENSIFY_CASES:
-            d = densify(generate(GenSpec(n, s, p2=p)), s, max_rounds=rounds)
-            h.update(format_edge_list(d).encode())
-        assert h.hexdigest() == DENSIFY_DIGEST
+        assert edge_list_digest(densify_outputs()) == DENSIFY_DIGEST
 
     def test_checks_each_candidate_through_the_module_global(self, monkeypatch):
         # the benchmark's tracer wraps these two names to count densify's
@@ -236,6 +250,26 @@ class TestDensify:
         assert len(checked) == len(built) > d.m - g.m > 0
         assert all(a is b for a, b in zip(checked, built))
         assert sum(accepted) == d.m - g.m
+
+    @pytest.mark.parametrize("n", [5, 6, 9, 30])
+    def test_stops_at_the_edge_bound(self, n, monkeypatch):
+        # the stacked-triangle strip has 2n - 3 edges, the most a
+        # 2-degenerate graph on n vertices can have, yet both ends have
+        # degree 2: no candidate can pass, so none is checked
+        gen = importlib.import_module("gallai.generate")
+        checked = []
+        check = gen.is_two_degenerate
+
+        def counting_check(h):
+            checked.append(h)
+            return check(h)
+
+        monkeypatch.setattr(gen, "is_two_degenerate", counting_check)
+        edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
+        g = Graph.from_edges(n, edges)
+        assert g.m == 2 * n - 3 and lows(g) == [0, n - 1]
+        assert densify(g, seed=0) == g
+        assert checked == []
 
 
 class TestDenseBuildingBlocks:
@@ -299,10 +333,7 @@ class TestDenseInstance:
         assert dense_instance(5, max_n=40) == dense_instance(5, max_n=40)
 
     def test_outputs_are_pinned(self):
-        h = hashlib.sha256()
-        for s, max_n in DENSE_CASES:
-            h.update(format_edge_list(dense_instance(s, max_n)).encode())
-        assert h.hexdigest() == DENSE_DIGEST
+        assert edge_list_digest(dense_outputs()) == DENSE_DIGEST
 
     def test_builds_only_the_blocks_it_glues(self, monkeypatch):
         # every glued block lands in the output whole, beside one or more
@@ -335,3 +366,8 @@ class TestDenseInstance:
             seen |= {s.tag for s in trace.steps}
         missing = BRANCH_TAGS - seen
         assert not missing, f"branches never taken: {sorted(missing)}"
+
+
+if __name__ == "__main__":
+    print("DENSIFY_DIGEST", edge_list_digest(densify_outputs()))
+    print("DENSE_DIGEST", edge_list_digest(dense_outputs()))

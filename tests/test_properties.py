@@ -4,7 +4,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gallai.decompose import decompose, format_decomposition, parse_decomposition
 from gallai.generate import GenSpec, _capped_strip, densify, generate
@@ -167,6 +167,36 @@ class TestTwoDegeneratePeel:
         for e in combinations(range(n), 2):
             if not g.has_edge(*e):
                 assert not is_two_degenerate(g.with_edges([e]))
+
+
+class TestEdgeBound:
+    """A 2-degenerate graph on k >= 2 non-isolated vertices has at most 2k - 3
+    edges: peeling a vertex of degree <= 2 at a time drops at most 2 edges
+    per vertex until the last two, which share at most 1."""
+
+    @given(graphs(), st.integers(0, 2**10))
+    def test_generated_and_densified_graphs_stay_within_it(self, g, seed):
+        for h in (g, densify(g, seed=seed)):
+            k = h.non_isolated_count()
+            if k >= 2:
+                assert h.m <= 2 * k - 3
+
+    @settings(max_examples=300)
+    @given(edge_sets())
+    def test_any_graph_past_it_is_not_two_degenerate(self, g):
+        k = g.non_isolated_count()
+        if k >= 2 and g.m > 2 * k - 3:
+            assert not is_two_degenerate(g)
+
+    @settings(max_examples=60)
+    @given(graphs(min_n=2, max_n=20, connect=True), st.integers(0, 2**10))
+    def test_no_edge_fits_at_it(self, g, seed):
+        d = densify(g, seed=seed)
+        live = [v for v in range(d.n) if d.degree(v)]
+        assume(len(live) >= 2 and d.m == 2 * len(live) - 3)
+        for e in combinations(live, 2):
+            if not d.has_edge(*e):
+                assert not is_two_degenerate(d.with_edges([e]))
 
 
 class TestDecomposerInvariants:
