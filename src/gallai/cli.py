@@ -207,10 +207,10 @@ def run_fuzz(
             if reproducer is not None:
                 reproducer(flags)
 
-        rng = random.Random(trial_seed)
         if densify:
             g = dense_instance(trial_seed, max_n=max_n, p2=p2)
         else:
+            rng = random.Random(trial_seed)
             n = rng.randint(4, max_n)
             p = p2 if p2 is not None else rng.choice((0.3, 0.5, 0.7, 0.9))
             g = generate(GenSpec(n=n, seed=trial_seed, connect=True, p2=p))

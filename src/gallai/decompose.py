@@ -100,7 +100,11 @@ class GeometryMismatch(DecomposeError):
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One branch decision: its tag, the vertices it bound, and the view size."""
+    """One branch decision: its tag, the vertices it bound, and the view size.
+
+    Each `detail` value is an int or a tuple of vertices (tuples nest), the
+    sequence the engine already holds; JSON writes a tuple as an array.
+    """
 
     tag: str
     vertices: dict[str, int]
@@ -155,7 +159,7 @@ class Decomposition:
 
     def to_json(self) -> dict:
         return {
-            "paths": [list(p.vertices) for p in self.paths],
+            "paths": tuple(p.vertices for p in self.paths),
             "bound": self.claimed_bound,
             "met": self.bound_met,
         }
@@ -319,16 +323,16 @@ class _WorkingGraph:
 
     def sides(
         self, starts: Iterable[int], among: set[int], skip: Iterable[int] = ()
-    ) -> list[tuple[int, ...]]:
+    ) -> tuple[tuple[int, ...], ...]:
         """The components that the vertices `among`, less `skip`, fall into,
         when each holds one of the starts: sorted tuples ordered by least
         vertex, or empty when they form one component, which is then not
         walked."""
         done = split_off(self, starts, skip)
         if not done:
-            return []
+            return ()
         rest = among.difference(skip, *done)
-        return sorted(tuple(sorted(c)) for c in done + [rest])
+        return tuple(sorted(tuple(sorted(c)) for c in done + [rest]))
 
     # -- edits ----------------------------------------------------------------
 
@@ -351,7 +355,9 @@ class _WorkingGraph:
                     p.low.add(u)
                     self.entered.append(u)
                 elif not d:
-                    adj[u] = _NO_EDGES  # frees the vertex's own set
+                    # frees the vertex's own set, and its piece with its last vertex
+                    adj[u] = _NO_EDGES
+                    owner[u] = None
                     p.low.discard(u)
                     p.verts.discard(u)
             self.dirty += (a, b)
@@ -666,7 +672,7 @@ class _Engine:
             # p has at most one edge-bearing component, so it is the view
             g.rehang(p)
             return [p]
-        self.step("ComponentSplit", p.size, {}, components=[list(c) for c in comps])
+        self.step("ComponentSplit", p.size, {}, components=comps)
         return g.divide(p, comps)
 
     def is_triangle(self, c: Sequence[int]) -> bool:
@@ -690,7 +696,7 @@ class _Engine:
         tag: str,
         vertices: dict[str, int],
         carrier: Path,
-        reattach: Sequence[tuple[int, int]],
+        reattach: tuple[tuple[int, int], ...],
         **detail,
     ) -> tuple[Sequence[_Piece], Finish]:
         """Remove the reattach edges, then the carrier; the finish reattaches,
@@ -717,10 +723,10 @@ class _Engine:
             tag,
             size,
             vertices,
-            carrier=list(carrier.vertices),
-            removed=[list(e) for e in sorted(removed)],
-            triangles=[list(t) for t in tris],
-            reattach=[list(r) for r in reattach],
+            carrier=carrier.vertices,
+            removed=tuple(sorted(removed)),
+            triangles=tris,
+            reattach=reattach,
             **detail,
         )
         g.delete(e for t in tris for e in _triangle_edges(t))
@@ -816,7 +822,7 @@ class _Engine:
         g = self.w
         size = p.size
         tag = "Claim1-Cycle3" if len(cyc) == 3 else "Claim1-Cycle4"
-        self.step(tag, size, {"u": u, "v": v}, cycle=list(cyc.ring))
+        self.step(tag, size, {"u": u, "v": v}, cycle=cyc.ring)
         g.delete(cyc.edges())
         tris = triangle_components(g, near=cyc.ring)
         if len(tris) > 1:
@@ -824,25 +830,22 @@ class _Engine:
 
         if tris:
             t = tris[0]
-            required = {cyc.ring[2]} if len(cyc) == 3 else {cyc.ring[1], cyc.ring[3]}
-            if not required <= set(t):
-                raise self.fail(f"triangle {t} misses the cycle contact {sorted(required)}")
             pair = merge_cycle_with_triangle(cyc, t)
             self.step(
                 "Subclaim2-Merge",
                 size,
                 {"u": u, "v": v},
-                cycle=list(cyc.ring),
-                triangle=list(t),
-                merged=[list(q.vertices) for q in pair],
+                cycle=cyc.ring,
+                triangle=t,
+                merged=tuple(q.vertices for q in pair),
             )
             g.delete(_triangle_edges(t))
             return self.pieces(p, cyc.ring), lambda out, start: out.extend(pair)
 
         def merge(out: list[Path], start: int) -> None:
             merged, w_index = _merge_cycle(cyc, out[start:], u, v)
-            into = list(out[start + w_index].vertices)
-            self.step("Subclaim1-Merge", size, {"u": u, "v": v}, cycle=list(cyc.ring), into=into)
+            into = out[start + w_index].vertices
+            self.step("Subclaim1-Merge", size, {"u": u, "v": v}, cycle=cyc.ring, into=into)
             out[start:] = merged
 
         return self.pieces(p, cyc.ring), merge
@@ -880,7 +883,7 @@ class _Engine:
         x: int,
         w: int,
         z: int,
-        comps: list[tuple[int, ...]],
+        comps: tuple[tuple[int, ...], ...],
     ) -> tuple[Sequence[_Piece], Finish]:
         g = self.w
         if len(comps) != 2:
@@ -904,7 +907,7 @@ class _Engine:
                 "Claim2-Case2-OddOdd",
                 p.size,
                 {"v": v, "x": x, "w": w, "z": z},
-                sides=[list(comp_i), list(comp_j)],
+                sides=(comp_i, comp_j),
             )
             g.delete([norm_edge(v, x), norm_edge(x, w), norm_edge(x, z)])
             star = [Path((w, x, z)), Path((v, x))]
@@ -935,12 +938,11 @@ class _Engine:
             "Claim2-Subcase2.1",
             p.size,
             {"v": v, "x": x, "w": w, "z": z, "a": a, "b": b},
-            odd_side=list(j1),
-            even_side=list(j2),
+            odd_side=j1,
+            even_side=j2,
         )
         # Decompose the far side, the odd piece, and the even piece with w.
-        j2w = sorted(j2 + (w,))
-        sides = [list(comp_i), list(j1), j2w]
+        sides = (comp_i, j1, tuple(sorted(j2 + (w,))))
         self.step("ComponentSplit", p.size, {}, components=sides)
         star = [Path((a, w, x, z)), Path((v, x))]
         g.delete([norm_edge(v, x), norm_edge(x, w), norm_edge(x, z), norm_edge(w, a)])
@@ -967,7 +969,7 @@ class _Engine:
         )
 
     def reduce_degree2_cut(
-        self, p: _Piece, v: int, comps: list[tuple[int, ...]]
+        self, p: _Piece, v: int, comps: tuple[tuple[int, ...], ...]
     ) -> tuple[Sequence[_Piece], Finish]:
         """Unique low vertex of degree 2 is an articulation point."""
         g = self.w
@@ -984,10 +986,10 @@ class _Engine:
             "Claim3",
             p.size,
             {"v": v, "x": x, "y": y},
-            x_side=list(comp_x),
-            y_side=list(comp_y),
+            x_side=comp_x,
+            y_side=comp_y,
         )
-        sides = [list(comp_x) + [v], list(comp_y)]
+        sides = (comp_x + (v,), comp_y)
         self.step("ComponentSplit", p.size, {}, components=sides)
         # v stays on x's side with the edge vx; vy is reattached.
         finish = self.reattach([(v, y)])
@@ -1020,10 +1022,10 @@ class _Engine:
             "Claim4",
             size,
             {"v": v, "x": x, "y": y, "z": z, "w": w},
-            a_side=list(comp_a),
-            b_side=list(comp_b),
+            a_side=comp_a,
+            b_side=comp_b,
         )
-        sides = [list(comp_a), list(comp_b)]
+        sides = (comp_a, comp_b)
         self.step("ComponentSplit", size, {}, components=sides)
         # Extend within the pieces: x's stub picks up xz, v's picks up vx.
         return g.divide(p, sides), finish
@@ -1163,12 +1165,7 @@ def _absorb(
                 vertices=bound,
                 n=len(scope),
                 m=(len(verts) - 1) + len(triangles) * 3,
-                detail={
-                    "triangle": list(tri),
-                    "carrier": list(verts),
-                    "q": list(q.vertices),
-                    "r": list(r.vertices),
-                },
+                detail={"triangle": tri, "carrier": verts, "q": q.vertices, "r": r.vertices},
             )
         )
         out.append(q)
@@ -1264,7 +1261,7 @@ def decompose(g: Graph) -> tuple[Decomposition, ReductionTrace, bool]:
             "ComponentSplit",
             (n, g.m),
             {},
-            components=[list(c.vertices) for c in comps],
+            components=tuple(c.vertices for c in comps),
         )
     paths: list[Path] = []
     per_component = 0
@@ -1273,7 +1270,7 @@ def decompose(g: Graph) -> tuple[Decomposition, ReductionTrace, bool]:
         if c.is_triangle:
             a, b, cc = c.vertices
             paths.extend([Path((a, b, cc)), Path((a, cc))])
-            eng.step("Base", (3, 3), {}, triangle=list(c.vertices))
+            eng.step("Base", (3, 3), {}, triangle=c.vertices)
             per_component += 2
             met = False
         else:

@@ -11,7 +11,13 @@ import pytest
 
 import gallai
 from gallai.cli import FuzzReport, build_parser, main, run_fuzz
-from gallai.decompose import InternalInvariantViolation, NoIntersectingPath, TraceStep, _Engine
+from gallai.decompose import (
+    GeometryMismatch,
+    InternalInvariantViolation,
+    NoIntersectingPath,
+    TraceStep,
+    _Engine,
+)
 from gallai.generate import family
 from gallai.graph import MAX_VERTICES, format_edge_list, parse_edge_list
 
@@ -91,20 +97,35 @@ class TestDecomposeCommand:
         assert reason == "error: internal invariant violated: forced"
         assert json.loads(trace) == [step.to_json()]
 
-    def test_cycle_merge_failure_exits_five_with_trace(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def merge_fails(tmp_path, capsys, monkeypatch, target, exc, g):
+        """Decompose g with the module's `target` raising exc("forced"): exit 5
+        with the reason and the trace up to the cycle step."""
+
         def broken(*_args):
-            raise NoIntersectingPath("forced")
+            raise exc("forced")
 
         # the package re-exports the function decompose under the module's name
-        monkeypatch.setattr(importlib.import_module("gallai.decompose"), "_merge_cycle", broken)
-        src = tmp_path / "theta.txt"
-        src.write_text(format_edge_list(family("theta", 7)))
+        monkeypatch.setattr(importlib.import_module("gallai.decompose"), target, broken)
+        src = tmp_path / "g.txt"
+        src.write_text(format_edge_list(g))
         assert main(["decompose", str(src)]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
         reason, trace = captured.err.splitlines()
         assert reason == "error: internal invariant violated: cycle merge: forced"
         assert "Claim1-Cycle3" in [s["tag"] for s in json.loads(trace)]
+
+    def test_cycle_merge_failure_exits_five_with_trace(self, tmp_path, capsys, monkeypatch):
+        g = family("theta", 7)
+        self.merge_fails(tmp_path, capsys, monkeypatch, "_merge_cycle", NoIntersectingPath, g)
+
+    def test_triangle_merge_failure_exits_five_with_trace(self, tmp_path, capsys, monkeypatch):
+        # two triangles sharing a vertex: a 3-cycle, then the other triangle merged in
+        g = family("friendship", 5)
+        self.merge_fails(
+            tmp_path, capsys, monkeypatch, "merge_cycle_with_triangle", GeometryMismatch, g
+        )
 
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", SimpleNamespace(read=lambda: C4))

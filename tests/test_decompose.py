@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from test_golden import corpus
+from test_golden import _FAMILY_SIZES, _FIXED, corpus
 
 from gallai.decompose import (
     BRANCH_TAGS,
@@ -24,7 +24,7 @@ from gallai.decompose import (
     merge_cycle_with_triangle,
     parse_decomposition,
 )
-from gallai.generate import GenSpec, family, generate
+from gallai.generate import FAMILIES, GenSpec, dense_instance, family, generate
 from gallai.graph import Cycle, Graph, NotTwoDegenerate, Path
 from gallai.verify import verify_decomposition
 
@@ -488,6 +488,37 @@ class TestCycleMerges:
             merge_cycle_with_triangle(Cycle((0, 1, 2)), (0, 1, 2, 3))
         with pytest.raises(GeometryMismatch):
             merge_cycle_with_triangle(Cycle((0, 1, 2, 3, 4)), (0, 1, 2))
+
+
+def is_detail_value(x):
+    """An int, a str, or a tuple of detail values: what the engine already
+    holds, never a list, dict or set copied out of it."""
+    if isinstance(x, tuple):
+        return all(is_detail_value(y) for y in x)
+    return isinstance(x, (int, str))
+
+
+class TestTraceDetail:
+    @staticmethod
+    def graphs():
+        """Every family graph, dense instances and one large sparse graph:
+        between them they reach every branch tag."""
+        for name in FAMILIES:
+            for n in (None,) if name in _FIXED else _FAMILY_SIZES:
+                yield family(name, n)
+        for s in range(60):
+            yield dense_instance(s, max_n=48)
+        yield generate(GenSpec(n=1200, seed=0))
+
+    def test_details_hold_only_ints_strings_and_tuples(self):
+        tags = set()
+        for g in self.graphs():
+            _dec, trace, _met = decompose(g)
+            for step in trace.steps:
+                tags.add(step.tag)
+                bad = {k: v for k, v in step.detail.items() if not is_detail_value(v)}
+                assert not bad, (step.tag, bad)
+        assert tags == BRANCH_TAGS
 
 
 class TestTextFormat:
