@@ -39,7 +39,8 @@ from .graph import (
     Path,
     connected_components,
     degeneracy_order,
-    is_cut_vertex,  # noqa: F401  (a layer site of bench/tracer.py)
+    is_cut_vertex,
+    is_two_degenerate,
     norm_edge,
     shortest_path,
     split_off,
@@ -170,11 +171,6 @@ class Decomposition:
 # path is that path, which keeps the many pending finishes of a long run small.
 Finish = Callable[[list[Path], int], None] | Path
 
-# A bucket is purged of stale entries once it holds more than twice the live
-# entries it kept at its last purge plus this many, so stale entries never
-# outnumber live ones by much.
-_PURGE_SLACK = 64
-
 # Neighbour scans a tree repair may take before a split is searched for
 # directly: a split strands its side, whose levels would only keep growing.
 # A repair that goes on once the piece is known whole stops at 2m scans, what
@@ -192,11 +188,10 @@ class _Piece:
     its set `low` of degree-1-or-2 vertices, the root of its breadth-first
     tree, and a heap of candidates for its closest low pair, each entry
     led by its distance, 1, 2 or 3 (see `_WorkingGraph.closest`). Heap
-    entries go stale as the graph changes and are dropped when they surface
-    or when the heap is purged.
+    entries go stale as the graph changes and are dropped when they surface.
     """
 
-    __slots__ = ("verts", "m", "low", "root", "heap", "cap")
+    __slots__ = ("verts", "m", "low", "root", "heap")
 
     def __init__(self):
         self.verts: set[int] = set()
@@ -204,7 +199,6 @@ class _Piece:
         self.low: set[int] = set()
         self.root = -1
         self.heap: list[tuple[int, ...]] = []
-        self.cap = _PURGE_SLACK
 
     @property
     def count(self) -> int:
@@ -294,7 +288,6 @@ class _WorkingGraph:
         p.m += ends // 2
         heapq.heapify(h)
         p.heap = h
-        p.cap = 2 * len(h) + _PURGE_SLACK
         self.plant(p)
         return p
 
@@ -463,7 +456,7 @@ class _WorkingGraph:
             for b in adj[c]:
                 touched.add(b)
                 if len(adj[b]) <= 2:
-                    self._push(owner[c], (1, c, b) if c < b else (1, b, c))
+                    heapq.heappush(owner[c].heap, (1, c, b) if c < b else (1, b, c))
         self.dirty.clear()
         self.entered.clear()
         fresh: list[tuple[int, ...]] = []
@@ -474,7 +467,7 @@ class _WorkingGraph:
             low1[w], low2[w] = m1, m2
             self._witness(w, fresh)
         for e in fresh:
-            self._push(owner[e[3]], e)
+            heapq.heappush(owner[e[3]].heap, e)
 
     # -- the closest-pair index ----------------------------------------------
 
@@ -492,15 +485,6 @@ class _WorkingGraph:
                 c = low1[b]
                 if c < none and low2[b] == none and c != a:
                     out.append((3, a, c, w, b) if a < c else (3, c, a, w, b))
-
-    def _push(self, p: _Piece, entry: tuple[int, ...]) -> None:
-        h = p.heap
-        heapq.heappush(h, entry)
-        if len(h) > p.cap:
-            h = [e for e in h if self._live(p, e)]
-            heapq.heapify(h)
-            p.heap = h
-            p.cap = 2 * len(h) + _PURGE_SLACK
 
     def _live(self, p: _Piece, e: tuple[int, ...]) -> bool:
         adj = self.adj
@@ -638,7 +622,7 @@ class _Engine:
             raise self.fail(f"no degree-3 neighbour of the unique low vertex {v}")
 
         for x in candidates:
-            if split_off(g, g.neighbors(x), skip=(x,)):
+            if is_cut_vertex(g, x):
                 return self.reduce_x_cut(p, v, x)
 
         # Either support vertex with a degree-3 neighbour takes the short route.
@@ -1252,7 +1236,8 @@ def decompose(g: Graph) -> tuple[Decomposition, ReductionTrace, bool]:
     component meets floor(n_c/2), so without triangles the total stays within
     floor(n/2) over non-isolated vertices.
     """
-    degeneracy_order(g)
+    if not is_two_degenerate(g):
+        degeneracy_order(g)  # raises NotTwoDegenerate with the stuck 3-core
     eng = _Engine(g)
     comps = connected_components(g)
     n = sum(c.n for c in comps)  # the non-isolated vertices

@@ -288,7 +288,7 @@ def _block(n: int, seed: int, p2: float) -> tuple[Graph, int]:
         lows = sorted(g.low_vertices())
         if len(lows) != 1 or g.degree(lows[0]) != 2:
             continue
-        if is_cut_vertex(g, lows[0])[0]:
+        if is_cut_vertex(g, lows[0]):
             continue
         return g, lows[0]
     return _capped_strip(n), 0
@@ -375,13 +375,9 @@ def dense_instance(seed: int, max_n: int, p2: float | None = None) -> Graph:
         # pendant over a connector whose even side is itself a spliced pair,
         # so the even side splits odd/even under its own connector
         return _hang(_splice(b1, _splice(b2, _block(even1, s3, p))))
-    # bridge two blocks with a support x, then hang a degree-2 vertex off x
-    # and an interior vertex; x stays an articulation point of the result
-    (g1, l1), (g2, l2) = b1, b2
-    x = g1.n + g2.n
+    # bridge two blocks with a support x, then hang a degree-2 vertex v off x
+    # and an interior vertex y; x stays an articulation point of the result
+    g, x = _splice(b1, b2)
     v = x + 1
-    y = min(u for u in range(g1.n) if u != l1)
-    edges = list(g1.edges())
-    edges += [(a + g1.n, b + g1.n) for (a, b) in g2.edges()]
-    edges += [(l1, x), (l2 + g1.n, x), (x, v), (y, v)]
-    return Graph.from_edges(v + 1, edges)
+    y = min(u for u in range(b1[0].n) if u != b1[1])
+    return Graph.from_edges(v + 1, list(g.edges()) + [(x, v), (y, v)])

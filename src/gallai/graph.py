@@ -219,11 +219,7 @@ class Cycle:
 
 @dataclass(frozen=True)
 class Component:
-    """One connected piece of a graph.
-
-    Singleton components (no edges) appear when the caller's vertex set
-    includes vertices that lost all their edges.
-    """
+    """One connected piece of a graph: its sorted vertices and edge count."""
 
     vertices: tuple[int, ...]
     m: int
@@ -237,33 +233,20 @@ class Component:
         return self.n == 3 and self.m == 3
 
 
-def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[Component]:
-    """Connected components of g, ordered by smallest contained vertex id.
-
-    `within` restricts attention to the given vertices (default: every
-    non-isolated vertex of g). Vertices of `within` that have no edges inside
-    the set become singleton components.
-    """
-    restricted = within is not None
-    if restricted:
-        allowed = set(within)
-        universe = sorted(allowed)
-    else:
-        allowed = set()
-        universe = [v for v in range(g.n) if g.neighbors(v)]
-
+def connected_components(g: Graph) -> list[Component]:
+    """Connected components of g's non-isolated vertices, ordered by
+    smallest contained vertex id."""
     seen: set[int] = set()
     out: list[Component] = []
-    for start in universe:
-        if start in seen:
+    for start in range(g.n):
+        if start in seen or not g.neighbors(start):
             continue
         comp = [start]
         seen.add(start)
         queue = [start]
         ends = 0  # edge ends inside the component
         while queue:
-            v = queue.pop()
-            nbrs = g.neighbors(v) & allowed if restricted else g.neighbors(v)
+            nbrs = g.neighbors(queue.pop())
             ends += len(nbrs)
             for w in nbrs:
                 if w not in seen:
@@ -394,8 +377,9 @@ def is_two_degenerate(g: Graph) -> bool:
     lowers its neighbours' degrees. Peeling is confluent, so whatever the
     order, what never gets flagged is the 3-core, and g is 2-degenerate
     exactly when that is empty. Unlike `degeneracy_order` this builds no
-    order and no error, which is what `densify` needs for its many checks.
-    It takes a `Graph` only, since it reads the adjacency tuple directly.
+    order and no error, which is what `densify` needs for its many checks
+    and `decompose` for its validation. It takes a `Graph` only, since it
+    reads the adjacency tuple directly.
     """
     adj = g._adj
     deg = [len(nbrs) for nbrs in adj]
@@ -450,19 +434,13 @@ def shortest_path(
     raise NoPath(f"no path {source} -> {target} avoiding {sorted(banned_v)}")
 
 
-def is_cut_vertex(g: Graph, v: int) -> tuple[bool, tuple[Component, ...]]:
-    """Whether removing v disconnects the non-isolated part of g.
+def is_cut_vertex(g, v: int) -> bool:
+    """Whether removing v splits the component of g that holds it.
 
-    Returns (flag, components of g - v) with the component partition computed
-    over g's non-isolated vertices minus v; vertices that lose their last edge
-    show up as singleton components.
+    Local work: a lockstep search (`split_off`) from v's neighbours in
+    g - v, so it also runs on the decomposer's working graph.
     """
-    rest = [u for u in range(g.n) if g.neighbors(u) and u != v]
-    if not rest:
-        return (False, ())
-    # `within` drops v's edges: each neighbour set is cut down to rest
-    comps = connected_components(g, within=rest)
-    return (len(comps) > 1, tuple(comps))
+    return bool(split_off(g, g.neighbors(v), skip=(v,)))
 
 
 # --- edge-list text format ---------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import sys
 import time
 import tracemalloc
@@ -25,7 +26,7 @@ from gallai.decompose import (
     parse_decomposition,
 )
 from gallai.generate import FAMILIES, GenSpec, dense_instance, family, generate
-from gallai.graph import Cycle, Graph, NotTwoDegenerate, Path
+from gallai.graph import Cycle, Graph, NotTwoDegenerate, Path, is_cut_vertex
 from gallai.verify import verify_decomposition
 
 
@@ -83,8 +84,18 @@ class TestDecomposeTopLevel:
 
     def test_not_two_degenerate_propagates(self):
         k4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        with pytest.raises(NotTwoDegenerate):
+        with pytest.raises(NotTwoDegenerate, match=r"\(0, 1, 2, 3\)"):
             decompose(k4)
+
+    def test_validates_with_the_linear_peel(self, monkeypatch):
+        # the heap peel runs only to name the 3-core of a rejected graph
+        def refuse(g):
+            raise AssertionError("degeneracy_order on a 2-degenerate graph")
+
+        monkeypatch.setattr(importlib.import_module("gallai.decompose"), "degeneracy_order", refuse)
+        g = generate(GenSpec(n=40, seed=3))
+        dec, _trace, _met = decompose(g)
+        check(g, dec)
 
     def test_empty_graph(self):
         dec, trace, met = decompose(Graph.from_edges(0, []))
@@ -186,6 +197,17 @@ class TestBranchFixtures:
         edges += [(0, 10), (5, 10), (10, 11), (1, 11)]
         assert self.lead_tag(Graph.from_edges(12, edges)) == "Claim4"
 
+    def test_support_cut_test_goes_through_is_cut_vertex(self, monkeypatch):
+        calls = []
+
+        def counted(g, v):
+            calls.append(v)
+            return is_cut_vertex(g, v)
+
+        monkeypatch.setattr(importlib.import_module("gallai.decompose"), "is_cut_vertex", counted)
+        assert self.lead_tag(family("fig4b")) == "Claim4"
+        assert calls
+
     def test_lemma_case_applications(self):
         lem1 = Graph.from_edges(11, [(0, 4), (0, 2), (2, 3), (1, 3), (1, 5), (4, 5), (2, 4), (2, 5), (3, 6), (6, 9), (6, 10), (7, 8), (7, 9), (7, 10), (8, 9), (8, 10)])
         lem2 = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
@@ -263,6 +285,9 @@ class TestWorkStack:
     @staticmethod
     def peak_bytes(n, seed):
         g = generate(GenSpec(n=n, seed=seed, p2=0.6))
+        # a full collection empties CPython's free lists, whose reused objects
+        # tracemalloc never sees; start every measurement from that state
+        gc.collect()
         tracemalloc.start()
         try:
             decompose(g)

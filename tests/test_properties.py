@@ -4,7 +4,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gallai.decompose import decompose, format_decomposition, parse_decomposition
 from gallai.generate import GenSpec, _capped_strip, densify, generate
@@ -79,11 +79,13 @@ class TestGraphInvariants:
     @given(graphs(min_n=3, connect=True))
     def test_cut_vertices_match_reference(self, g):
         reference = set(nx.articulation_points(to_nx(g)))
-        for v in range(g.n):
-            flag, comps = is_cut_vertex(g, v)
-            assert flag == (v in reference)
-            rest = {u for c in comps for u in c.vertices}
-            assert v not in rest
+        assert {v for v in range(g.n) if is_cut_vertex(g, v)} == reference
+
+    @given(graphs(min_n=3, connect=False))
+    @example(Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]))
+    def test_cut_vertices_match_reference_when_disconnected(self, g):
+        reference = set(nx.articulation_points(to_nx(g)))
+        assert {v for v in range(g.n) if is_cut_vertex(g, v)} == reference
 
     @given(graphs())
     def test_components_partition_non_isolated(self, g):
