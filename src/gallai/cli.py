@@ -21,7 +21,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .decompose import (
@@ -31,7 +30,7 @@ from .decompose import (
     parse_decomposition,
 )
 from .generate import FAMILIES, GenSpec, UnknownFamily, dense_instance, family, generate
-from .graph import MAX_VERTICES, GraphError, format_edge_list, parse_edge_list
+from .graph import MAX_VERTICES, GraphError, Record, format_edge_list, parse_edge_list
 from .verify import TooLarge, minimum_decomposition, verify_decomposition
 
 # family fixtures that pre-seed the fuzz histogram, at canonical sizes
@@ -48,14 +47,24 @@ _SEED_FAMILIES = (
 )
 
 
-@dataclass
-class FuzzReport:
+class FuzzReport(Record):
     """Outcome of a fuzz run: failure records and branch coverage."""
 
-    trials: int
-    failures: list[dict] = field(default_factory=list)
-    branch_histogram: dict[str, int] = field(default_factory=dict)
-    max_n_seen: int = 0
+    __slots__ = ("trials", "failures", "branch_histogram", "max_n_seen")
+    __setattr__ = object.__setattr__  # mutable, so unhashable
+    __hash__ = None
+
+    def __init__(
+        self,
+        trials: int,
+        failures: list[dict] | None = None,
+        branch_histogram: dict[str, int] | None = None,
+        max_n_seen: int = 0,
+    ):
+        self.trials = trials
+        self.failures = [] if failures is None else failures
+        self.branch_histogram = {} if branch_histogram is None else branch_histogram
+        self.max_n_seen = max_n_seen
 
     def to_json(self) -> dict:
         return {
@@ -67,10 +76,13 @@ class FuzzReport:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    """The text of the file at path, or of stdin for -; a ValueError unless ASCII."""
+    if path != "-":
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    text = sys.stdin.read()
+    text.encode("ascii")  # raises on the first character a file's codec would refuse
+    return text
 
 
 def _write(path: str | None, text: str) -> bool:
@@ -91,7 +103,7 @@ def _write(path: str | None, text: str) -> bool:
 def cmd_decompose(args) -> int:
     try:
         g = parse_edge_list(_read(args.input))
-    except (GraphError, UnicodeDecodeError, OSError) as exc:
+    except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -28,7 +28,7 @@ All tie-breaks are by lowest vertex id, so output is deterministic.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections import Counter
 from typing import Callable, Iterable, Sequence
 
 from .graph import (
@@ -37,6 +37,7 @@ from .graph import (
     Graph,
     NoPath,
     Path,
+    Record,
     connected_components,
     degeneracy_order,
     is_cut_vertex,
@@ -99,23 +100,19 @@ class GeometryMismatch(DecomposeError):
     """Cycle/triangle sharing pattern is not one the merge supports."""
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     """One branch decision: its tag, the vertices it bound, and the view size.
 
     Each `detail` value is an int or a tuple of vertices (tuples nest), the
     sequence the engine already holds; JSON writes a tuple as an array.
     """
 
-    tag: str
-    vertices: dict[str, int]
-    n: int
-    m: int
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("tag", "vertices", "n", "m", "detail")
 
-    def __post_init__(self):
-        if self.tag not in BRANCH_TAGS:
-            raise ValueError(f"unknown branch tag {self.tag!r}")
+    def __init__(self, tag: str, vertices: dict[str, int], n: int, m: int, detail=None):
+        if tag not in BRANCH_TAGS:
+            raise ValueError(f"unknown branch tag {tag!r}")
+        self._init(tag, vertices, n, m, {} if detail is None else detail)
 
     def to_json(self) -> dict:
         return {
@@ -127,24 +124,22 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(Record):
     """Ordered record of every branch the decomposition took."""
 
-    steps: tuple[TraceStep, ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[TraceStep, ...]):
+        self._init(steps)
 
     def histogram(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for s in self.steps:
-            out[s.tag] = out.get(s.tag, 0) + 1
-        return out
+        return dict(Counter(s.tag for s in self.steps))
 
     def to_json(self) -> list[dict]:
         return [s.to_json() for s in self.steps]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """A set of edge-disjoint paths claimed to cover the host graph's edges.
 
     `claimed_bound` is the certificate's own claim: floor(n/2) over the host's
@@ -154,9 +149,10 @@ class Decomposition:
     floor(n/2) target cannot cover.
     """
 
-    paths: tuple[Path, ...]
-    claimed_bound: int
-    bound_met: bool = True
+    __slots__ = ("paths", "claimed_bound", "bound_met")
+
+    def __init__(self, paths: tuple[Path, ...], claimed_bound: int, bound_met: bool = True):
+        self._init(paths, claimed_bound, bound_met)
 
     def to_json(self) -> dict:
         return {
@@ -691,17 +687,18 @@ class _Engine:
         """
         g = self.w
         size = p.size
-        carrier_edges = set(carrier.edges())
-        pre_removed = [norm_edge(a, b) for a, b in reattach]
-        removed = carrier_edges.union(pre_removed)
-        extend = self.reattach(reattach)
-
-        g.delete(pre_removed)
-        pre_ends = [w for e in pre_removed for w in e]
-        if pre_ends and triangle_components(g, near=pre_ends):
-            raise self.fail(f"{tag}: edge removal exposed a triangle component")
+        removed = carrier_edges = set(carrier.edges())
+        touched = list(carrier.vertices)
+        if reattach:
+            pre_removed = [norm_edge(a, b) for a, b in reattach]
+            removed = carrier_edges.union(pre_removed)
+            extend = self.reattach(reattach)
+            g.delete(pre_removed)
+            pre_ends = [w for e in pre_removed for w in e]
+            if triangle_components(g, near=pre_ends):
+                raise self.fail(f"{tag}: edge removal exposed a triangle component")
+            touched = pre_ends + touched
         g.delete(carrier_edges)
-        touched = pre_ends + list(carrier.vertices)
         tris = tuple(triangle_components(g, near=touched))
         self.step(
             tag,
@@ -713,13 +710,17 @@ class _Engine:
             reattach=reattach,
             **detail,
         )
-        g.delete(e for t in tris for e in _triangle_edges(t))
+        if tris:
+            g.delete(e for t in tris for e in _triangle_edges(t))
+        elif not reattach:
+            return self.pieces(p, touched), carrier
 
         def finish(out: list[Path], start: int) -> None:
-            extend(out, start)
+            if reattach:
+                extend(out, start)
             out.extend(_absorb(carrier, tris, self.steps))
 
-        return self.pieces(p, touched), finish if reattach or tris else carrier
+        return self.pieces(p, touched), finish
 
     def reattach(self, pairs: Sequence[tuple[int, int]]) -> Finish:
         """Check the (endpoint, new) edges against the view now; the returned
@@ -764,20 +765,25 @@ class _Engine:
         if pair is None:
             raise self.fail("low vertices share no component")
         u, v, dist = pair
-        p0 = shortest_path(g, u, v)
-        ext_u = self.spare_neighbor(u, p0.vertices[1])
-        ext_v = self.spare_neighbor(v, p0.vertices[-2])
+        # the carrier's core as `shortest_path` finds it: a search from u in
+        # ascending id meets v at distance 2 through their least common neighbour
+        if dist <= 2:
+            core = (u, v) if dist == 1 else (u, min(g.neighbors(u) & g.neighbors(v)), v)
+        else:
+            core = shortest_path(g, u, v).vertices
+        ext_u = self.spare_neighbor(u, core[1])
+        ext_v = self.spare_neighbor(v, core[-2])
 
         if dist > 2:
             for e, name in ((ext_u, "u"), (ext_v, "v")):
-                if e is not None and e in p0.vertices:
+                if e is not None and e in core:
                     raise self.fail(f"extension at {name} lands on the carrier")
             if ext_u is not None and ext_u == ext_v:
                 raise self.fail("extensions coincide on a long carrier")
 
         if dist > 2 or ext_u is None or ext_v is None or ext_u != ext_v:
             # A long carrier, or a short one whose closed walk stays a path.
-            seq = ((ext_u,) if ext_u is not None else ()) + p0.vertices
+            seq = ((ext_u,) if ext_u is not None else ()) + core
             seq = seq + ((ext_v,) if ext_v is not None else ())
             return self.run_plan(
                 p,
@@ -788,17 +794,18 @@ class _Engine:
                 distance=dist,
             )
 
-        ring = (u, v, ext_u) if dist == 1 else (u, p0.vertices[1], v, ext_u)
+        ring = (u, v, ext_u) if dist == 1 else (u, core[1], v, ext_u)
         return self._cycle_route(p, Cycle(ring), u, v)
 
     def spare_neighbor(self, v: int, path_next: int) -> int | None:
         """The neighbour of a degree-<=2 vertex not already used by the carrier."""
-        spare = self.w.neighbors(v) - {path_next}
-        if not spare:
-            return None
-        if len(spare) > 1:
-            raise self.fail(f"vertex {v} is not low-degree")
-        return next(iter(spare))
+        spare = None
+        for x in self.w.neighbors(v):
+            if x != path_next:
+                if spare is not None:
+                    raise self.fail(f"vertex {v} is not low-degree")
+                spare = x
+        return spare
 
     def _cycle_route(
         self, p: _Piece, cyc: Cycle, u: int, v: int

@@ -17,9 +17,10 @@ graphs almost never reach.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .graph import MAX_VERTICES, Graph, connected_components, is_cut_vertex, is_two_degenerate
+from .graph import (
+    MAX_VERTICES, Graph, Record, connected_components, is_cut_vertex, is_two_degenerate
+)
 
 FAMILIES = (
     "path",
@@ -82,22 +83,19 @@ class UnknownFamily(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(Record):
     """Parameters for one generated graph."""
 
-    n: int
-    seed: int
-    connect: bool = True
-    p2: float = 0.6
+    __slots__ = ("n", "seed", "connect", "p2")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, seed: int, connect: bool = True, p2: float = 0.6):
+        if n < 1:
             raise ValueError("n must be at least 1")
-        if self.n > MAX_VERTICES:
+        if n > MAX_VERTICES:
             raise ValueError(f"n must be at most {MAX_VERTICES}")
-        if not 0.0 <= self.p2 <= 1.0:
+        if not 0.0 <= p2 <= 1.0:
             raise ValueError("p2 must lie in [0, 1]")
+        self._init(n, seed, connect, p2)
 
 
 # chance that a vertex takes no back-edge at all when connectivity is off

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
@@ -58,15 +57,49 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-class Graph:
+class Record:
+    """Base of the package's records: `__slots__` names the fields, which
+    `__init__` sets through `object.__setattr__` (`_init` sets them all in
+    order), and `==`, `hash` and `repr` go by them. A later assignment raises
+    AttributeError unless the record restores `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def _init(self, *values: object, _set=object.__setattr__) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(Record):
     """Immutable undirected simple graph on the vertex universe [0, n)."""
 
     __slots__ = ("n", "_adj", "m")
 
     def __init__(self, n: int, adj: tuple[frozenset[int], ...], m: int):
-        self.n = n
-        self._adj = adj
-        self.m = m
+        object.__setattr__(self, "n", n)  # no `_init` loop: densify makes many
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "m", m)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
@@ -160,29 +193,21 @@ class Graph:
             added += 1
         return Graph(self.n, tuple(adj), self.m + added)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self._adj == other._adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._adj))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """A simple path given by its vertex sequence (one vertex = zero edges)."""
 
-    vertices: tuple[int, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        if len(self.vertices) < 1:
+    def __init__(self, vertices: tuple[int, ...]):
+        if len(vertices) < 1:
             raise ValueError("path needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError(f"repeated vertex in path {self.vertices}")
+        if len(set(vertices)) != len(vertices):
+            raise ValueError(f"repeated vertex in path {vertices}")
+        object.__setattr__(self, "vertices", vertices)  # the hottest record: no loop
 
     def edges(self) -> Iterator[Edge]:
         for a, b in zip(self.vertices, self.vertices[1:]):
@@ -196,17 +221,17 @@ class Path:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Record):
     """A simple cycle given by its vertex ring (closing edge implied)."""
 
-    ring: tuple[int, ...]
+    __slots__ = ("ring",)
 
-    def __post_init__(self):
-        if len(self.ring) < 3:
+    def __init__(self, ring: tuple[int, ...]):
+        if len(ring) < 3:
             raise ValueError("cycle needs at least three vertices")
-        if len(set(self.ring)) != len(self.ring):
-            raise ValueError(f"repeated vertex in cycle {self.ring}")
+        if len(set(ring)) != len(ring):
+            raise ValueError(f"repeated vertex in cycle {ring}")
+        self._init(ring)
 
     def edges(self) -> Iterator[Edge]:
         ring = self.ring
@@ -217,12 +242,13 @@ class Cycle:
         return len(self.ring)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """One connected piece of a graph: its sorted vertices and edge count."""
 
-    vertices: tuple[int, ...]
-    m: int
+    __slots__ = ("vertices", "m")
+
+    def __init__(self, vertices: tuple[int, ...], m: int):
+        self._init(vertices, m)
 
     @property
     def n(self) -> int:

@@ -11,10 +11,9 @@ the decomposer's output from below in the acceptance suite.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .graph import Graph, Path
+from .graph import Graph, Path, Record
 
 FAILURE_KINDS = (
     "NotAPath",
@@ -29,26 +28,30 @@ class TooLarge(Exception):
     """The graph exceeds the oracle's edge limit."""
 
 
-@dataclass(frozen=True)
-class Failure:
-    kind: str
-    detail: str
+class Failure(Record):
+    __slots__ = ("kind", "detail")
 
-    def __post_init__(self):
-        if self.kind not in FAILURE_KINDS:
-            raise ValueError(f"unknown failure kind {self.kind!r}")
+    def __init__(self, kind: str, detail: str):
+        if kind not in FAILURE_KINDS:
+            raise ValueError(f"unknown failure kind {kind!r}")
+        self._init(kind, detail)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    valid: bool
-    failures: tuple[Failure, ...]
-    path_count: int
-    bound: int
-    odd_lower_bound: int
+class VerificationReport(Record):
+    __slots__ = ("valid", "failures", "path_count", "bound", "odd_lower_bound")
+
+    def __init__(
+        self,
+        valid: bool,
+        failures: tuple[Failure, ...],
+        path_count: int,
+        bound: int,
+        odd_lower_bound: int,
+    ):
+        self._init(valid, failures, path_count, bound, odd_lower_bound)
 
     def to_json(self) -> dict:
         return {
@@ -60,13 +63,6 @@ class VerificationReport:
         }
 
 
-def _path_vertices(p) -> tuple:
-    # Accept Path objects or bare vertex sequences, so corrupted files can be
-    # checked without tripping constructor validation first.
-    vs = getattr(p, "vertices", p)
-    return tuple(vs)
-
-
 def verify_decomposition(g: Graph, d) -> VerificationReport:
     """Check that d's paths partition E(g) and respect d's claimed bound.
 
@@ -76,7 +72,9 @@ def verify_decomposition(g: Graph, d) -> VerificationReport:
     failures: list[Failure] = []
     covered: Counter[tuple[int, int]] = Counter()
 
-    paths = [_path_vertices(p) for p in d.paths]
+    # Path objects or bare vertex sequences, so corrupted files can be
+    # checked without tripping constructor validation first
+    paths = [tuple(getattr(p, "vertices", p)) for p in d.paths]
     for i, vs in enumerate(paths):
         if len(vs) == 0:
             failures.append(Failure("NotAPath", f"path {i} is empty"))
@@ -134,12 +132,13 @@ def odd_degree_lower_bound(g: Graph) -> int:
     return sum(1 for v in range(g.n) if g.degree(v) % 2 == 1) // 2
 
 
-@dataclass(frozen=True)
-class OracleWitness:
+class OracleWitness(Record):
     """Minimal decomposition-shaped record, verify_decomposition-compatible."""
 
-    paths: tuple[Path, ...]
-    claimed_bound: int
+    __slots__ = ("paths", "claimed_bound")
+
+    def __init__(self, paths: tuple[Path, ...], claimed_bound: int):
+        self._init(paths, claimed_bound)
 
 
 class OracleResult(NamedTuple):

@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import os
 import shutil
@@ -63,6 +64,17 @@ class TestDecomposeCommand:
         src = tmp_path / "na.txt"
         src.write_bytes(b"# caf\xc3\xa9\n0 1\n1 2\n")
         assert main(["decompose", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_non_ascii_stdin_exits_one(self, capsys, monkeypatch):
+        # U+0661 (ARABIC-INDIC DIGIT ONE) would parse as 1; a file with the
+        # same bytes is refused, so stdin is too
+        stdin = io.TextIOWrapper(io.BytesIO(b"p 2 1\n0 \xd9\xa1\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["decompose", "-"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -204,6 +216,20 @@ class TestVerifyCommand:
         }
         files[which] = graph_file("# caf\u00e9\n0 1\n1 2\n", "na.txt")
         assert main(["verify", files["graph"], files["decomposition"]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("which", ["graph", "decomposition"])
+    def test_non_ascii_stdin_exits_one(self, graph_file, capsys, monkeypatch, which):
+        # valid input but for the comment, so only the ASCII rule refuses it
+        texts = {"graph": C4, "decomposition": "paths 2 bound 2 met true\n0 1 2\n2 3 0\n"}
+        args = [graph_file(texts["graph"]), graph_file(texts["decomposition"], "d.txt")]
+        args[which == "decomposition"] = "-"
+        text = "# caf\u00e9\n" + texts[which]
+        monkeypatch.setattr("sys.stdin", SimpleNamespace(read=lambda: text))
+        assert main(["verify", *args]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -355,6 +381,22 @@ class TestFuzzCommand:
     def test_report_json_sorts_histogram(self):
         r = FuzzReport(trials=0, branch_histogram={"b": 1, "a": 2})
         assert list(r.to_json()["branch_histogram"]) == ["a", "b"]
+
+
+class TestImportCost:
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        # -S keeps site hooks from importing either module first
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(gallai.__file__).resolve().parent.parent)
+        code = (
+            "import gallai.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestParserPlumbing:

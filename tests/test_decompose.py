@@ -26,7 +26,7 @@ from gallai.decompose import (
     parse_decomposition,
 )
 from gallai.generate import FAMILIES, GenSpec, dense_instance, family, generate
-from gallai.graph import Cycle, Graph, NotTwoDegenerate, Path, is_cut_vertex
+from gallai.graph import Cycle, Graph, NotTwoDegenerate, Path, is_cut_vertex, shortest_path
 from gallai.verify import verify_decomposition
 
 
@@ -207,6 +207,37 @@ class TestBranchFixtures:
         monkeypatch.setattr(importlib.import_module("gallai.decompose"), "is_cut_vertex", counted)
         assert self.lead_tag(family("fig4b")) == "Claim4"
         assert calls
+
+    def test_short_carrier_core_takes_the_least_common_neighbour(self):
+        # 0 and 1 are low, with common neighbours 3 and 5 and no edge between
+        # them. Two low vertices with two common neighbours close a 4-cycle,
+        # so the pair goes the Claim1-Cycle4 route, its ring led by the core
+        # u-3-v, the path `shortest_path` finds
+        edges = [(0, 3), (0, 5), (1, 3), (1, 5), (2, 3), (2, 5), (2, 4), (3, 4), (4, 5)]
+        g = Graph.from_edges(6, edges)
+        dec, trace = decompose_connected(g)
+        check(g, dec)
+        first = trace.steps[0]
+        assert (first.tag, first.vertices) == ("Claim1-Cycle4", {"u": 0, "v": 1})
+        assert first.detail["cycle"] == (0, 3, 1, 5)
+        assert shortest_path(g, 0, 1) == Path((0, 3, 1))
+
+    def test_carriers_within_distance_two_search_no_path(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return shortest_path(*args, **kwargs)
+
+        monkeypatch.setattr(importlib.import_module("gallai.decompose"), "shortest_path", counted)
+        g = generate(GenSpec(n=300, seed=1, p2=0.6))
+        dec, trace = decompose_connected(g)
+        check(g, dec)
+        # only the closest-pair branch runs here, which searches only for a
+        # pair at distance 3 or more
+        assert {s.tag for s in trace.steps} == {"Base", "Claim1-Path"}
+        far = [s for s in trace.steps if s.tag == "Claim1-Path" and s.detail["distance"] > 2]
+        assert 0 < len(far) == len(calls) < len(trace.steps) // 2
 
     def test_lemma_case_applications(self):
         lem1 = Graph.from_edges(11, [(0, 4), (0, 2), (2, 3), (1, 3), (1, 5), (4, 5), (2, 4), (2, 5), (3, 6), (6, 9), (6, 10), (7, 8), (7, 9), (7, 10), (8, 9), (8, 10)])

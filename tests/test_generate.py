@@ -91,11 +91,6 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             GenSpec(n=5, seed=1, p2=p2)
 
-    def test_frozen(self):
-        spec = GenSpec(n=5, seed=1)
-        with pytest.raises(AttributeError):
-            spec.n = 6
-
 
 class TestGenerate:
     @pytest.mark.parametrize("seed", range(8))

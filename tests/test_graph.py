@@ -3,6 +3,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from gallai.cli import FuzzReport
+from gallai.decompose import Decomposition, ReductionTrace, TraceStep
 from gallai.generate import GenSpec, densify, generate
 from gallai.graph import (
     MAX_VERTICES,
@@ -26,6 +28,7 @@ from gallai.graph import (
     split_off,
     triangle_components,
 )
+from gallai.verify import Failure, OracleWitness, VerificationReport
 
 
 def triangle():
@@ -129,6 +132,75 @@ class TestPathAndCycle:
     def test_cycle_min_length(self):
         with pytest.raises(ValueError):
             Cycle((0, 1))
+
+
+def frozen_records():
+    """(record, an equal record built apart, one of its fields) for each kind
+    of frozen record."""
+
+    def make():
+        path = Path((0, 1))
+        step = TraceStep("Base", {"u": 0, "v": 1}, 2, 1)
+        return [
+            (Graph.from_edges(2, [(0, 1)]), "n"),
+            (path, "vertices"),
+            (Cycle((0, 1, 2)), "ring"),
+            (Component(vertices=(0, 1), m=1), "m"),
+            (step, "tag"),
+            (ReductionTrace((step,)), "steps"),
+            (Decomposition(paths=(path,), claimed_bound=1), "bound_met"),
+            (GenSpec(n=5, seed=1), "n"),
+            (Failure("EdgeMissing", "edge (0, 1) is not covered"), "kind"),
+            (VerificationReport(True, (), 1, 1, 1), "valid"),
+            (OracleWitness(paths=(path,), claimed_bound=1), "paths"),
+        ]
+
+    return [(a, b, field) for (a, field), (b, _) in zip(make(), make())]
+
+
+RECORD_IDS = [type(a).__name__ for a, _b, _f in frozen_records()]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("rec, _twin, field", frozen_records(), ids=RECORD_IDS)
+    def test_frozen(self, rec, _twin, field):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, getattr(rec, field))
+        with pytest.raises(AttributeError):
+            delattr(rec, field)
+
+    @pytest.mark.parametrize("a, b, _field", frozen_records(), ids=RECORD_IDS)
+    def test_equal_fields_mean_equal_records(self, a, b, _field):
+        assert a is not b and a == b and not a != b
+        if isinstance(a, (TraceStep, ReductionTrace)):
+            # a step's bound vertices and detail are dicts
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+
+    def test_fields_decide_equality(self):
+        assert Path((0, 1)) != Path((1, 0))
+        assert Path((0, 1)) != (0, 1)
+        assert GenSpec(n=5, seed=1) != GenSpec(n=5, seed=2)
+        assert Graph.from_edges(3, [(0, 1)]) != Graph.from_edges(2, [(0, 1)])
+
+    def test_repr_names_the_fields(self):
+        assert repr(Path((0, 1))) == "Path(vertices=(0, 1))"
+        assert repr(GenSpec(n=5, seed=1)) == "GenSpec(n=5, seed=1, connect=True, p2=0.6)"
+        assert repr(Graph.from_edges(2, [(0, 1)])) == "Graph(n=2, m=1)"
+
+    def test_fuzz_report_is_mutable_and_unhashable(self):
+        r = FuzzReport(trials=3)
+        r.max_n_seen = 7
+        assert r == FuzzReport(3, [], {}, 7)
+        assert repr(r) == (
+            "FuzzReport(trials=3, failures=[], branch_histogram={}, max_n_seen=7)"
+        )
+        with pytest.raises(TypeError):
+            hash(r)
+        # each report gets its own lists
+        assert FuzzReport(1).failures is not FuzzReport(1).failures
 
 
 class TestComponents:
