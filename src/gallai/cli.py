@@ -5,7 +5,7 @@ Exit statuses are a total function of outcomes:
   decompose  0 bound met | 2 valid but bound unmet | 1 parse, degeneracy or
              write error | 5 internal invariant violated (reason, then trace
              JSON, on stderr)
-  verify     0 valid | 3 invalid | 1 parse error
+  verify     0 valid | 3 invalid | 1 parse error, or - for both files
   gen        0 written | 1 unknown family, bad flags or write error
   fuzz       0 all trials passed | 4 any failure
 Bad flags exit 1 everywhere.
@@ -18,7 +18,6 @@ header count, or a larger vertex id without a header, is a parse error: one
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from types import SimpleNamespace
@@ -112,10 +111,12 @@ def cmd_decompose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalInvariantViolation as exc:
+        import json
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)
         print(json.dumps([s.to_json() for s in exc.steps], sort_keys=True), file=sys.stderr)
         return 5
     if args.json:
+        import json
         payload = dec.to_json()
         if args.trace:
             payload["trace"] = trace.to_json()
@@ -135,6 +136,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.graph == args.decomposition == "-":
+        print("error: stdin can feed the graph or the decomposition, not both", file=sys.stderr)
+        return 1
     try:
         g = parse_edge_list(_read(args.graph))
         paths, bound, _met = parse_decomposition(_read(args.decomposition))
@@ -143,6 +147,7 @@ def cmd_verify(args) -> int:
         return 1
     report = verify_decomposition(g, SimpleNamespace(paths=paths, claimed_bound=bound))
     if args.json:
+        import json
         print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     else:
         verdict = "valid" if report.valid else "invalid"
@@ -270,6 +275,7 @@ def cmd_fuzz(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
+        import json
         print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     else:
         print(

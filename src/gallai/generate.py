@@ -107,16 +107,33 @@ def generate(spec: GenSpec) -> Graph:
 
     With connect=True every vertex after the first gets at least one
     back-edge, so the result is connected.
+
+    Vertex v draws its k <= 2 back-edges through `rng.randrange`, making
+    exactly the draws, in the same order, that `sorted(rng.sample(range(v),
+    k))` makes, so each seed gives the graph that sampling gave.
     """
     rng = random.Random(spec.seed)
+    rand, randrange = rng.random, rng.randrange
+    p2, skip = spec.p2, not spec.connect
     edges: list[tuple[int, int]] = []
     for v in range(1, spec.n):
-        k = 2 if rng.random() < spec.p2 else 1
-        if not spec.connect and rng.random() < _P_SKIP:
-            k = 0
-        k = min(k, v)
-        for u in sorted(rng.sample(range(v), k)):
-            edges.append((u, v))
+        two = rand() < p2
+        if skip and rand() < _P_SKIP:
+            continue
+        a = randrange(v)
+        if not two or v == 1:
+            edges.append((a, v))
+            continue
+        # 21 is sample's pool limit for k <= 5: up to it, sample swaps the
+        # first pick out of a list; past it, it redraws until it misses
+        if v <= 21:
+            b = randrange(v - 1)
+            b = v - 1 if b == a else b
+        else:
+            b = randrange(v)
+            while b == a:
+                b = randrange(v)
+        edges += ((a, v), (b, v)) if a < b else ((b, v), (a, v))
     return Graph.from_edges(spec.n, edges)
 
 

@@ -235,6 +235,18 @@ class TestVerifyCommand:
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
 
+    def test_stdin_for_both_inputs_exits_one(self, capsys, monkeypatch):
+        # stdin can be read once; refuse before reading it at all
+        reads = []
+        monkeypatch.setattr("sys.stdin", SimpleNamespace(read=lambda: reads.append(1) or C4))
+        assert main(["verify", "-", "-"]) == 1
+        assert reads == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: stdin can feed the graph or the decomposition, not both\n"
+        )
+
     def test_header_edge_count_mismatch_exits_one(self, graph_file, capsys):
         g = graph_file("p 4 99\n0 1\n1 2\n")
         d = graph_file("paths 1 bound 2 met true\n0 1 2\n", "dec.txt")
@@ -385,12 +397,13 @@ class TestFuzzCommand:
 
 class TestImportCost:
     def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
-        # -S keeps site hooks from importing either module first
+        # -S keeps site hooks from importing any of the modules first; json
+        # is imported only where --json output or an exit-5 trace needs it
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(gallai.__file__).resolve().parent.parent)
         code = (
             "import gallai.cli, sys; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env

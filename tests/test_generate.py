@@ -6,6 +6,7 @@ import pytest
 
 from gallai.decompose import BRANCH_TAGS, decompose, decompose_connected
 from gallai.generate import (
+    _P_SKIP,
     FAMILIES,
     GenSpec,
     UnknownFamily,
@@ -73,6 +74,21 @@ def dense_outputs():
         yield dense_instance(s, max_n)
 
 
+def sampled_edges(spec):
+    """generate()'s back-edges as random.sample drew them, the reference its
+    randrange draws must match."""
+    rng = random.Random(spec.seed)
+    edges = []
+    for v in range(1, spec.n):
+        k = 2 if rng.random() < spec.p2 else 1
+        if not spec.connect and rng.random() < _P_SKIP:
+            k = 0
+        k = min(k, v)
+        for u in sorted(rng.sample(range(v), k)):
+            edges.append((u, v))
+    return edges
+
+
 def dense_kind(seed):
     """The shape dense_instance(seed, max_n=48) builds: its third draw."""
     rng = random.Random(seed)
@@ -121,6 +137,16 @@ class TestGenerate:
     def test_single_vertex(self):
         g = generate(GenSpec(n=1, seed=0))
         assert g.n == 1 and g.m == 0
+
+    # random.sample takes a vertex's second draw from a pool up to v = 21 and
+    # redraws past it, so n = 22 and n = 23 straddle that limit
+    @pytest.mark.parametrize("n", [1, 2, 3, 21, 22, 23, 60])
+    @pytest.mark.parametrize("connect", [True, False])
+    @pytest.mark.parametrize("p2", [0.0, 0.6, 1.0])
+    def test_draws_match_random_sample(self, n, connect, p2):
+        for seed in range(6):
+            spec = GenSpec(n=n, seed=seed, connect=connect, p2=p2)
+            assert generate(spec) == Graph.from_edges(n, sampled_edges(spec)), seed
 
 
 class TestFamilies:
