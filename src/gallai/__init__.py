@@ -25,7 +25,6 @@ from .decompose import (
     TriangleNotComponent,
     absorb_triangles,
     decompose,
-    decompose_connected,
     format_decomposition,
     merge_cycle_with_triangle,
     parse_decomposition,
@@ -103,7 +102,6 @@ __all__ = [
     "absorb_triangles",
     "connected_components",
     "decompose",
-    "decompose_connected",
     "degeneracy_order",
     "dense_instance",
     "densify",

@@ -204,10 +204,14 @@ def run_fuzz(
     if max_n > MAX_VERTICES:
         raise ValueError(f"max_n must be at most {MAX_VERTICES}")
     report = FuzzReport(trials=trials)
-    for name, size in _SEED_FAMILIES:
-        _dec, trace, _met = decompose(family(name, size))
+    hist = report.branch_histogram
+
+    def tally(trace) -> None:
         for tag, count in trace.histogram().items():
-            report.branch_histogram[tag] = report.branch_histogram.get(tag, 0) + count
+            hist[tag] = hist.get(tag, 0) + count
+
+    for name, size in _SEED_FAMILIES:
+        tally(decompose(family(name, size))[1])
 
     for k in range(trials):
         trial_seed = seed + k
@@ -239,8 +243,7 @@ def run_fuzz(
         except InternalInvariantViolation:
             fail("InternalInvariantViolation")
             continue
-        for tag, count in trace.histogram().items():
-            report.branch_histogram[tag] = report.branch_histogram.get(tag, 0) + count
+        tally(trace)
         if not verify_decomposition(g, dec).valid:
             fail("InvalidDecomposition")
             continue

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .graph import (
     Cycle,
@@ -43,6 +43,7 @@ from .graph import (
     is_cut_vertex,
     is_two_degenerate,
     norm_edge,
+    parse_digits,
     shortest_path,
     split_off,
     triangle_components,
@@ -163,9 +164,14 @@ class Decomposition(Record):
 
 
 # Folds the paths of a plan's pieces, out[start:] in piece order, into the
-# planned view's, in place: finish(out, start). A finish that only appends one
-# path is that path, which keeps the many pending finishes of a long run small.
-Finish = Callable[[list[Path], int], None] | Path
+# planned view's, in place. A finish is the tuple (pairs, merge,
+# triangles, *paths), which `_Engine.solve` runs in that order: extend the path
+# ending at each (endpoint, new) pair, merge the cycle of merge = (cycle, u, v,
+# size) into the first path it meets, then append the paths; with triangles,
+# the one path is the carrier, which absorbs them. `solve` pushes it flat, with
+# the paths last, so a pending finish costs little more than its paths: one
+# tuple nested in the work item put 4% on the peak memory of a long run.
+Finish = tuple
 
 # Neighbour scans a tree repair may take before a split is searched for
 # directly: a split strands its side, whose levels would only keep growing.
@@ -529,8 +535,8 @@ class _Engine:
 
     `plan` handles one view, a piece of the working graph: it logs the
     branch's steps, deletes the removed edges in place and returns the
-    pieces left to decompose plus a `finish` that folds their paths back in.
-    A finish holds only vertices, paths and triangles.
+    pieces left to decompose plus a `Finish` that folds their paths back in.
+    A finish is plain data, and `solve` is the one place that runs it.
     """
 
     def __init__(self, g: Graph):
@@ -547,10 +553,11 @@ class _Engine:
         """Decompose one connected non-triangle piece, depth first.
 
         The stack holds pieces still to plan and, under each planned piece's
-        sub-pieces, its finish with the index of `out` where their paths
-        start. Sub-pieces are pushed in reverse so they run in order, and
-        every step is logged as it runs: the trace reads as the induction
-        does.
+        sub-pieces, one flat tuple (start, n, *finish): the index of `out`
+        where their paths start, the planned piece's vertex count and its
+        finish. Sub-pieces are pushed in reverse so they run in order, and
+        every step is logged as it runs, a finish's when it is run: the trace
+        reads as the induction does.
         """
         out: list[Path] = []
         work: list = [piece]
@@ -563,14 +570,17 @@ class _Engine:
                         raise self.fail(f"unexpected triangle component {tri}")
                     n = item.count
                     pieces, finish = self.plan(item)
-                    work.append((finish, len(out), n))
+                    work.append((len(out), n, *finish))
                     work.extend(reversed(pieces))
                     continue
-                finish, start, n = item
-                if isinstance(finish, Path):
-                    out.append(finish)
-                else:
-                    finish(out, start)
+                start, n, pairs, merge, tris, *paths = item
+                if pairs:
+                    self.extend(out, start, pairs)
+                if merge is not None:
+                    cyc, u, v, size = merge
+                    into = _merge_cycle(cyc, out, start, u, v)
+                    self.step("Subclaim1-Merge", size, {"u": u, "v": v}, cycle=cyc.ring, into=into)
+                out.extend(_absorb(paths[0], tris, self.steps) if tris else paths)
                 if len(out) - start > n // 2:
                     raise self.fail(f"{len(out) - start} paths exceed floor({n}/2)")
         except (NoIntersectingPath, GeometryMismatch) as exc:
@@ -583,12 +593,12 @@ class _Engine:
         """Pick the branch for one connected non-triangle piece."""
         g = self.w
         if p.m == 0:
-            return (), lambda out, start: None
+            return (), ((), None, ())
         if p.m == 1:
             u, v = sorted(p.low)
             self.step("Base", p.size, {"u": u, "v": v})
             g.delete([(u, v)])
-            return (), Path((u, v))
+            return (), ((), None, (), Path((u, v)))
         if p.count == 3:
             # a connected view on 3 vertices has them all low
             low = sorted(p.low)
@@ -596,7 +606,7 @@ class _Engine:
             a, b = (v for v in low if v != mid)
             self.step("Base", p.size, {"mid": mid})
             g.delete([(a, mid), (mid, b)])
-            return (), Path((a, mid, b))
+            return (), ((), None, (), Path((a, mid, b)))
 
         if len(p.low) >= 2:
             return self.reduce_two_low_degree(p)
@@ -692,7 +702,7 @@ class _Engine:
         if reattach:
             pre_removed = [norm_edge(a, b) for a, b in reattach]
             removed = carrier_edges.union(pre_removed)
-            extend = self.reattach(reattach)
+            self.reattach(reattach)
             g.delete(pre_removed)
             pre_ends = [w for e in pre_removed for w in e]
             if triangle_components(g, near=pre_ends):
@@ -712,48 +722,40 @@ class _Engine:
         )
         if tris:
             g.delete(e for t in tris for e in _triangle_edges(t))
-        elif not reattach:
-            return self.pieces(p, touched), carrier
+        return self.pieces(p, touched), (reattach, None, tris, carrier)
 
-        def finish(out: list[Path], start: int) -> None:
-            if reattach:
-                extend(out, start)
-            out.extend(_absorb(carrier, tris, self.steps))
-
-        return self.pieces(p, touched), finish
-
-    def reattach(self, pairs: Sequence[tuple[int, int]]) -> Finish:
-        """Check the (endpoint, new) edges against the view now; the returned
-        finish extends, in order, the path ending at each named endpoint.
-
-        Consecutive instructions that chain (this endpoint is the vertex the
-        previous instruction appended) keep growing the same path; otherwise
-        exactly one path may end at the endpoint.
-        """
+    def reattach(self, pairs: Sequence[tuple[int, int]]) -> None:
+        """Check a finish's (endpoint, new) pairs against the view, before
+        their edges are deleted."""
         for endpoint, new in pairs:
             if not self.w.has_edge(endpoint, new):
                 raise self.fail(f"reattach edge ({endpoint}, {new}) missing")
 
-        def extend(out: list[Path], start: int) -> None:
-            prev: tuple[int, int] | None = None  # (index, appended vertex)
-            for endpoint, new in pairs:
-                if prev is not None and prev[1] == endpoint:
-                    idx = prev[0]
-                else:
-                    hits = [i for i in range(start, len(out)) if endpoint in out[i].endpoints]
-                    if len(hits) != 1:
-                        raise self.fail(f"{len(hits)} paths end at {endpoint}; need exactly one")
-                    idx = hits[0]
-                p = out[idx]
-                if new in p.vertices:
-                    raise self.fail(f"extension vertex {new} already on the path")
-                if p.vertices[0] == endpoint:
-                    out[idx] = Path((new,) + p.vertices)
-                else:
-                    out[idx] = Path(p.vertices + (new,))
-                prev = (idx, new)
+    def extend(self, out: list[Path], start: int, pairs: Sequence[tuple[int, int]]) -> None:
+        """Extend, in order, the path of out[start:] ending at each pair's
+        endpoint by the pair's new vertex.
 
-        return extend
+        Consecutive pairs that chain (this endpoint is the vertex the previous
+        pair appended) keep growing the same path; otherwise exactly one path
+        may end at the endpoint.
+        """
+        prev: tuple[int, int] | None = None  # (index, appended vertex)
+        for endpoint, new in pairs:
+            if prev is not None and prev[1] == endpoint:
+                idx = prev[0]
+            else:
+                hits = [i for i in range(start, len(out)) if endpoint in out[i].endpoints]
+                if len(hits) != 1:
+                    raise self.fail(f"{len(hits)} paths end at {endpoint}; need exactly one")
+                idx = hits[0]
+            p = out[idx]
+            if new in p.vertices:
+                raise self.fail(f"extension vertex {new} already on the path")
+            if p.vertices[0] == endpoint:
+                out[idx] = Path((new,) + p.vertices)
+            else:
+                out[idx] = Path(p.vertices + (new,))
+            prev = (idx, new)
 
     # -- the reduction branches ---------------------------------------------
 
@@ -831,15 +833,8 @@ class _Engine:
                 merged=tuple(q.vertices for q in pair),
             )
             g.delete(_triangle_edges(t))
-            return self.pieces(p, cyc.ring), lambda out, start: out.extend(pair)
-
-        def merge(out: list[Path], start: int) -> None:
-            merged, w_index = _merge_cycle(cyc, out[start:], u, v)
-            into = out[start + w_index].vertices
-            self.step("Subclaim1-Merge", size, {"u": u, "v": v}, cycle=cyc.ring, into=into)
-            out[start:] = merged
-
-        return self.pieces(p, cyc.ring), merge
+            return self.pieces(p, cyc.ring), ((), None, (), *pair)
+        return self.pieces(p, cyc.ring), ((), (cyc, u, v, size), ())
 
     def reduce_pendant(self, p: _Piece, v: int) -> tuple[Sequence[_Piece], Finish]:
         """Unique low vertex is a pendant: peel it through its support x."""
@@ -901,8 +896,7 @@ class _Engine:
                 sides=(comp_i, comp_j),
             )
             g.delete([norm_edge(v, x), norm_edge(x, w), norm_edge(x, z)])
-            star = [Path((w, x, z)), Path((v, x))]
-            return self.pieces(p, (w, z)), lambda out, start: out.extend(star)
+            return self.pieces(p, (w, z)), ((), None, (), Path((w, x, z)), Path((v, x)))
 
         sub_comps = g.sides(g.neighbors(w) - {x}, set(comp_j), skip={x, w})
         if sub_comps:
@@ -935,9 +929,8 @@ class _Engine:
         # Decompose the far side, the odd piece, and the even piece with w.
         sides = (comp_i, j1, tuple(sorted(j2 + (w,))))
         self.step("ComponentSplit", p.size, {}, components=sides)
-        star = [Path((a, w, x, z)), Path((v, x))]
         g.delete([norm_edge(v, x), norm_edge(x, w), norm_edge(x, z), norm_edge(w, a)])
-        return g.divide(p, sides), lambda out, start: out.extend(star)
+        return g.divide(p, sides), ((), None, (), Path((a, w, x, z)), Path((v, x)))
 
     def _pendant_even_open(self, p, v, x, w, z):
         g = self.w
@@ -983,9 +976,10 @@ class _Engine:
         sides = (comp_x + (v,), comp_y)
         self.step("ComponentSplit", p.size, {}, components=sides)
         # v stays on x's side with the edge vx; vy is reattached.
-        finish = self.reattach([(v, y)])
+        pairs = ((v, y),)
+        self.reattach(pairs)
         g.delete([norm_edge(v, y)])
-        return g.divide(p, sides), finish
+        return g.divide(p, sides), (pairs, None, ())
 
     def reduce_x_cut(self, p: _Piece, v: int, x: int) -> tuple[Sequence[_Piece], Finish]:
         """The support vertex x is an articulation point of the whole graph."""
@@ -998,7 +992,8 @@ class _Engine:
             raise self.fail(f"support {x} should keep exactly one spare edge")
         w = w_opts[0]
         size = p.size
-        finish = self.reattach([(x, z), (v, x)])
+        pairs = ((x, z), (v, x))
+        self.reattach(pairs)
         g.delete([norm_edge(x, z), norm_edge(v, x)])
         comps = g.sides((x, z, v), p.verts)
         if len(comps) != 2:
@@ -1019,7 +1014,7 @@ class _Engine:
         sides = (comp_a, comp_b)
         self.step("ComponentSplit", size, {}, components=sides)
         # Extend within the pieces: x's stub picks up xz, v's picks up vx.
-        return g.divide(p, sides), finish
+        return g.divide(p, sides), (pairs, None, ())
 
     def reduce_case_deg3_neighbor(
         self, p: _Piece, v: int, x: int, z: int
@@ -1203,33 +1198,26 @@ def _closest_pair(g: Graph, low: Sequence[int]) -> tuple[int, int, int] | None:
     return None if best is None else (best[1], best[2], best[0])
 
 
-def _merge_cycle(
-    cyc: Cycle, d: Sequence[Path], u: int, v: int
-) -> tuple[list[Path], int]:
-    """Split the first path of d that meets the cycle into two, absorbing the
-    cycle's edges. Returns the new path list and the index of the split path."""
+def _merge_cycle(cyc: Cycle, out: list[Path], start: int, u: int, v: int) -> tuple[int, ...]:
+    """Split the first path of out[start:] that meets the cycle into two, in
+    place, absorbing the cycle's edges. Returns the split path's vertices."""
     ring = cyc.ring
     if ring[0] != u or (len(ring) == 3 and ring[1] != v) or (len(ring) == 4 and ring[2] != v):
         raise GeometryMismatch("cycle ring must start at u with v opposite")
     contacts = (ring[2],) if len(ring) == 3 else (ring[1], ring[3])
-    w_index = None
-    for i, p in enumerate(d):
-        if any(c in p.vertices for c in contacts):
-            w_index = i
+    for i in range(start, len(out)):
+        w = out[i].vertices
+        hits = [w.index(x) for x in contacts if x in w]
+        if hits:
             break
-    if w_index is None:
+    else:
         raise NoIntersectingPath("no decomposition path meets the cycle")
-    w = d[w_index].vertices
-    pos = {vv: i for i, vv in enumerate(w)}
     # cut the host path at its first contact c: u, v and the other contacts
-    # close the prefix into w1, and u opens the suffix as w2
-    c = min((x for x in contacts if x in pos), key=pos.__getitem__)
-    rest = tuple(x for x in contacts if x != c)
-    w1 = Path(w[: pos[c] + 1] + (v,) + rest + (u,))
-    w2 = Path((u,) + w[pos[c] :])
-    out = list(d)
-    out[w_index : w_index + 1] = [w1, w2]
-    return out, w_index
+    # close the prefix, and u opens the suffix
+    k = min(hits)
+    rest = tuple(x for x in contacts if x != w[k])
+    out[i : i + 1] = [Path(w[: k + 1] + (v,) + rest + (u,)), Path((u,) + w[k:])]
+    return w
 
 
 # -- public operations ----------------------------------------------------------
@@ -1271,17 +1259,6 @@ def decompose(g: Graph) -> tuple[Decomposition, ReductionTrace, bool]:
     claimed = n // 2 if met else per_component
     dec = Decomposition(paths=tuple(paths), claimed_bound=claimed, bound_met=met)
     return dec, ReductionTrace(tuple(eng.steps)), met
-
-
-def decompose_connected(g: Graph) -> tuple[Decomposition, ReductionTrace]:
-    """decompose() for a graph known to be one connected non-triangle piece."""
-    comps = connected_components(g)
-    if len(comps) > 1:
-        raise ValueError("graph is not connected")
-    if comps and comps[0].is_triangle:
-        raise ValueError("a triangle needs two paths; use decompose()")
-    dec, trace, _met = decompose(g)
-    return dec, trace
 
 
 def absorb_triangles(
@@ -1365,7 +1342,7 @@ def parse_decomposition(text: str) -> tuple[list[tuple[int, ...]], int, bool]:
     if len(head) != 6 or head[0] != "paths" or head[2] != "bound" or head[4] != "met":
         raise ValueError(f"bad header {lines[0]!r}")
     try:
-        count, bound = int(head[1]), int(head[3])
+        count, bound = parse_digits(head[1]), parse_digits(head[3])
     except ValueError:
         raise ValueError(f"bad header numbers in {lines[0]!r}") from None
     if head[5] not in ("true", "false"):
@@ -1374,7 +1351,7 @@ def parse_decomposition(text: str) -> tuple[list[tuple[int, ...]], int, bool]:
     paths: list[tuple[int, ...]] = []
     for ln in lines[1:]:
         try:
-            paths.append(tuple(int(tok) for tok in ln.split()))
+            paths.append(tuple(map(parse_digits, ln.split())))
         except ValueError:
             raise ValueError(f"bad path line {ln!r}") from None
     if len(paths) != count:

@@ -472,13 +472,22 @@ def is_cut_vertex(g, v: int) -> bool:
 # --- edge-list text format ---------------------------------------------------
 
 
+def parse_digits(tok: str) -> int:
+    """The value of a vertex id or header number, which must be ASCII digits:
+    int() alone also takes a sign, `_` separators and non-ASCII digits."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"{tok!r} is not ASCII digits")
+    return int(tok)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
     Lines: optional leading `p <n> <m>` header, then one `<u> <v>` pair per
-    line; `#` starts a comment; blank lines are ignored. A header's edge count
-    must match the edges that follow. Without a header the vertex count is
-    1 + the largest id seen (0 for an empty file).
+    line, every number ASCII digits; `#` starts a comment; blank lines are
+    ignored. A header's edge count must match the edges that follow. Without
+    a header the vertex count is 1 + the largest id seen (0 for an empty
+    file).
     """
     n_header: int | None = None
     m_header = header_line = 0
@@ -494,7 +503,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: header needs `p <n> <m>`")
             try:
-                n_header, m_header = int(parts[1]), int(parts[2])
+                n_header, m_header = parse_digits(parts[1]), parse_digits(parts[2])
             except ValueError:
                 raise GraphError(f"line {lineno}: bad header numbers") from None
             header_line = lineno
@@ -502,11 +511,9 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected `<u> <v>`, got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = parse_digits(parts[0]), parse_digits(parts[1])
         except ValueError:
-            raise GraphError(f"line {lineno}: non-integer endpoint in {line!r}") from None
-        if u < 0 or v < 0:
-            raise GraphError(f"line {lineno}: negative vertex id")
+            raise GraphError(f"line {lineno}: endpoint not ASCII digits in {line!r}") from None
         edges.append((u, v))
     if n_header is None:
         n_header = 1 + max((max(u, v) for u, v in edges), default=-1)

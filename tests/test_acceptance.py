@@ -20,7 +20,6 @@ from gallai.decompose import (
     BRANCH_TAGS,
     absorb_triangles,
     decompose,
-    decompose_connected,
 )
 from gallai.generate import family
 from gallai.graph import (
@@ -82,7 +81,8 @@ def test_criterion_1_exhaustive_small_bound(small_population):
     """Every small connected instance decomposes into at most n//2 paths."""
     start = time.monotonic()
     for g in small_population:
-        dec, _ = decompose_connected(g)
+        dec, _, met = decompose(g)
+        assert met
         report = verify_decomposition(g, dec)
         assert report.valid, (g.edges(), report.failures)
         assert len(dec.paths) <= g.n // 2, g.edges()
@@ -102,7 +102,8 @@ def test_criterion_2_oracle_sandwich(small_population):
             continue
         best, witness = minimum_decomposition(g, limit=14)
         assert verify_decomposition(g, witness).valid
-        dec, _ = decompose_connected(g)
+        dec, _, met = decompose(g)
+        assert met
         assert best <= len(dec.paths) <= g.n // 2, g.edges()
         checked += 1
     triangle = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])

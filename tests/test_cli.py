@@ -56,6 +56,15 @@ class TestDecomposeCommand:
         assert main(["decompose", graph_file("0 1\nbogus line\n")]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["p 11 1\n0 1_0\n", "+0 +1\n"])
+    def test_ids_must_be_ascii_digits(self, graph_file, capsys, text):
+        # int() alone reads these as the edges (0, 10) and (0, 1)
+        assert main(["decompose", graph_file(text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["decompose", str(tmp_path / "absent.txt")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -207,6 +216,17 @@ class TestVerifyCommand:
         d = graph_file("not a decomposition\n", "dec.txt")
         assert main(["verify", g, d]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_numbers_must_be_ascii_digits(self, graph_file, capsys):
+        # int() alone reads the bound as 50 and the path as 0-10, a valid
+        # certificate for this graph
+        g = graph_file("p 11 1\n0 10\n")
+        d = graph_file("paths 1 bound 5_0 met true\n0 1_0\n", "dec.txt")
+        assert main(["verify", g, d]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad header numbers")
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("which", ["graph", "decomposition"])
     def test_non_ascii_input_exits_one(self, graph_file, tmp_path, capsys, which):

@@ -20,7 +20,6 @@ from gallai.decompose import (
     _WorkingGraph,
     absorb_triangles,
     decompose,
-    decompose_connected,
     format_decomposition,
     merge_cycle_with_triangle,
     parse_decomposition,
@@ -114,24 +113,16 @@ class TestDecomposeConnected:
     )
     def test_small_counts(self, n, edges, limit):
         g = Graph.from_edges(n, edges)
-        dec, _ = decompose_connected(g)
+        dec, _, met = decompose(g)
+        assert met
         assert len(dec.paths) <= limit
         assert dec.bound_met
         check(g, dec)
 
-    def test_rejects_triangle(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-        with pytest.raises(ValueError, match="triangle"):
-            decompose_connected(g)
-
-    def test_rejects_disconnected(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError, match="connected"):
-            decompose_connected(g)
-
     def test_trace_tags_are_known(self):
         g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
-        _, trace = decompose_connected(g)
+        _, trace, met = decompose(g)
+        assert met
         assert all(s.tag in BRANCH_TAGS for s in trace.steps)
 
 
@@ -163,7 +154,8 @@ def hang(g, at):
 
 class TestBranchFixtures:
     def lead_tag(self, g):
-        dec, trace = decompose_connected(g)
+        dec, trace, met = decompose(g)
+        assert met
         check(g, dec)
         assert len(dec.paths) <= g.non_isolated_count() // 2
         return trace.steps[0].tag
@@ -215,7 +207,8 @@ class TestBranchFixtures:
         # u-3-v, the path `shortest_path` finds
         edges = [(0, 3), (0, 5), (1, 3), (1, 5), (2, 3), (2, 5), (2, 4), (3, 4), (4, 5)]
         g = Graph.from_edges(6, edges)
-        dec, trace = decompose_connected(g)
+        dec, trace, met = decompose(g)
+        assert met
         check(g, dec)
         first = trace.steps[0]
         assert (first.tag, first.vertices) == ("Claim1-Cycle4", {"u": 0, "v": 1})
@@ -231,7 +224,8 @@ class TestBranchFixtures:
 
         monkeypatch.setattr(importlib.import_module("gallai.decompose"), "shortest_path", counted)
         g = generate(GenSpec(n=300, seed=1, p2=0.6))
-        dec, trace = decompose_connected(g)
+        dec, trace, met = decompose(g)
+        assert met
         check(g, dec)
         # only the closest-pair branch runs here, which searches only for a
         # pair at distance 3 or more
@@ -244,15 +238,17 @@ class TestBranchFixtures:
         lem2 = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
         lem3 = Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (4, 5)])
         for g, tag in ((lem1, "Lemma1-Case1"), (lem2, "Lemma1-Case2"), (lem3, "Lemma1-Case3")):
-            dec, trace = decompose_connected(g)
+            dec, trace, met = decompose(g)
+            assert met
             check(g, dec)
             assert tag in {s.tag for s in trace.steps}
 
     def test_determinism(self):
         g, c = splice(strip(7), 0, strip(6), 0)
         g = hang(g, c)
-        a, _ = decompose_connected(g)
-        b, _ = decompose_connected(g)
+        a, _, met = decompose(g)
+        assert met
+        b, _, _ = decompose(g)
         assert a.paths == b.paths
 
 
@@ -273,7 +269,7 @@ class TestInvariantGuards:
         plan = _Engine.plan
 
         def split_host(self, p):
-            return (pieces, lambda out, start: None) if p is host else plan(self, p)
+            return (pieces, ((), None, ())) if p is host else plan(self, p)
 
         monkeypatch.setattr(_Engine, "plan", split_host)
         with pytest.raises(InternalInvariantViolation, match=r"triangle component \(0, 1, 2\)") as exc:
@@ -283,9 +279,7 @@ class TestInvariantGuards:
     def test_paths_beyond_the_bound_are_rejected(self, monkeypatch):
         host = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         edges = [Path((0, 1)), Path((1, 2)), Path((2, 3))]
-        monkeypatch.setattr(
-            _Engine, "plan", lambda self, p: ((), lambda out, _: out.extend(edges))
-        )
+        monkeypatch.setattr(_Engine, "plan", lambda self, p: ((), ((), None, (), *edges)))
         eng = _Engine(host)
         with pytest.raises(InternalInvariantViolation, match=r"3 paths exceed floor\(4/2\)"):
             eng.solve(eng.w.open(range(4)))
@@ -312,6 +306,26 @@ class TestWorkStack:
         finally:
             set_limit(old)
         check(g, dec)
+
+    def test_finishes_hold_no_code(self, monkeypatch):
+        # a finish is a tuple of pairs, a cycle merge, triangles and paths,
+        # which solve runs; no closure rides the stack
+        plan = _Engine.plan
+        finishes = []
+
+        def recorded(self, p):
+            pieces, finish = plan(self, p)
+            finishes.append(finish)
+            return pieces, finish
+
+        def data(x):
+            return all(map(data, x)) if isinstance(x, tuple) else not callable(x)
+
+        monkeypatch.setattr(_Engine, "plan", recorded)
+        for host in corpus():
+            decompose(host)
+        assert finishes
+        assert all(type(f) is tuple and data(f) for f in finishes)
 
     @staticmethod
     def peak_bytes(n, seed):
@@ -502,32 +516,38 @@ class TestCycleMerges:
     def test_triangle_into_decomposition(self):
         # path 2-3-4 plus triangle (0,1,2) hanging on vertex 2
         g = Graph.from_edges(5, [(2, 3), (3, 4), (0, 1), (0, 2), (1, 2)])
-        out, index = _merge_cycle(Cycle((0, 1, 2)), [Path((2, 3, 4))], 0, 1)
-        assert len(out) == 2 and index == 0
+        out = [Path((2, 3, 4))]
+        assert _merge_cycle(Cycle((0, 1, 2)), out, 0, 0, 1) == (2, 3, 4)
+        assert len(out) == 2
         assert edges_of(out) == sorted(g.edges())
 
     def test_four_cycle_into_decomposition(self):
         # the host path must touch the cycle off the u-v axis
         g = Graph.from_edges(6, [(1, 4), (4, 5), (0, 1), (1, 2), (2, 3), (3, 0)])
-        out, index = _merge_cycle(Cycle((0, 1, 2, 3)), [Path((1, 4, 5))], 0, 2)
+        out = [Path((1, 4, 5))]
+        assert _merge_cycle(Cycle((0, 1, 2, 3)), out, 0, 0, 2) == (1, 4, 5)
         assert [p.vertices for p in out] == [(1, 2, 3, 0), (0, 1, 4, 5)]
-        assert index == 0
         assert edges_of(out) == sorted(g.edges())
 
     def test_four_cycle_into_a_path_through_both_contacts(self):
         # the first path misses the cycle; the second meets 3, then 1
         edges = [(7, 8), (3, 4), (3, 5), (1, 5), (1, 6), (0, 1), (1, 2), (2, 3), (3, 0)]
         g = Graph.from_edges(9, edges)
-        out, index = _merge_cycle(
-            Cycle((0, 1, 2, 3)), [Path((7, 8)), Path((4, 3, 5, 1, 6))], 0, 2
-        )
+        out = [Path((7, 8)), Path((4, 3, 5, 1, 6))]
+        assert _merge_cycle(Cycle((0, 1, 2, 3)), out, 0, 0, 2) == (4, 3, 5, 1, 6)
         assert [p.vertices for p in out] == [(7, 8), (4, 3, 2, 1, 0), (0, 3, 5, 1, 6)]
-        assert index == 1
         assert edges_of(out) == sorted(g.edges())
+
+    def test_merges_only_from_start_on(self):
+        # the path before start meets the cycle too, and stays as it is; of
+        # the paths from start on, the first that meets it is split
+        out = [Path((2, 9)), Path((7, 8)), Path((2, 5, 6)), Path((6, 2))]
+        assert _merge_cycle(Cycle((0, 1, 2)), out, 1, 0, 1) == (2, 5, 6)
+        assert [p.vertices for p in out] == [(2, 9), (7, 8), (2, 1, 0), (0, 2, 5, 6), (6, 2)]
 
     def test_no_contact_raises(self):
         with pytest.raises(NoIntersectingPath):
-            _merge_cycle(Cycle((0, 1, 2)), [Path((3, 4, 5))], 0, 1)
+            _merge_cycle(Cycle((0, 1, 2)), [Path((3, 4, 5))], 0, 0, 1)
 
     def test_triangle_with_triangle_component(self):
         out = merge_cycle_with_triangle(Cycle((0, 1, 2)), (2, 3, 4))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gallai.decompose import BRANCH_TAGS, decompose, decompose_connected
+from gallai.decompose import BRANCH_TAGS, decompose
 from gallai.generate import (
     _P_SKIP,
     FAMILIES,
