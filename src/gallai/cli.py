@@ -2,13 +2,13 @@
 instances, and run the fuzz loop with branch-coverage statistics.
 
 Exit statuses are a total function of outcomes:
-  decompose  0 bound met | 2 valid but bound unmet | 1 parse, degeneracy or
-             write error | 5 internal invariant violated (reason, then trace
-             JSON, on stderr)
+  decompose  0 bound met | 2 valid but bound unmet | 1 parse or degeneracy
+             error | 5 internal invariant violated (reason, then trace JSON)
   verify     0 valid | 3 invalid | 1 parse error, or - for both files
-  gen        0 written | 1 unknown family, bad flags or write error
-  fuzz       0 all trials passed | 4 any failure
-Bad flags exit 1 everywhere.
+  gen        0 written | 1 unknown family, bad scale or no --n
+  fuzz       0 all passed | 4 any failure | 1 bad limits | 5 as for decompose,
+             when a seed fixture breaks an invariant
+Bad flags and write errors, stdout's too, exit 1 everywhere (one `error:` line).
 
 A graph has at most gallai.graph.MAX_VERTICES (1,000,000) vertices. A larger
 header count, or a larger vertex id without a header, is a parse error: one
@@ -28,7 +28,7 @@ from .decompose import (
     format_decomposition,
     parse_decomposition,
 )
-from .generate import FAMILIES, GenSpec, UnknownFamily, dense_instance, family, generate
+from .generate import FAMILIES, GenSpec, dense_instance, family, generate
 from .graph import MAX_VERTICES, GraphError, Record, format_edge_list, parse_edge_list
 from .verify import TooLarge, minimum_decomposition, verify_decomposition
 
@@ -84,37 +84,18 @@ def _read(path: str) -> str:
     return text
 
 
-def _write(path: str | None, text: str) -> bool:
-    """Write text to the file at path, or to stdout for None or -; False,
-    after one `error:` line, when the file cannot be written."""
+def _write(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout for None or -; a failed
+    write raises OSError, which `main` reports."""
     if path is None or path == "-":
         sys.stdout.write(text)
-        return True
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
+        return
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def cmd_decompose(args) -> int:
-    try:
-        g = parse_edge_list(_read(args.input))
-    except (GraphError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        dec, trace, met = decompose(g)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InternalInvariantViolation as exc:
-        import json
-        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
-        print(json.dumps([s.to_json() for s in exc.steps], sort_keys=True), file=sys.stderr)
-        return 5
+    dec, trace, met = decompose(parse_edge_list(_read(args.input)))
     if args.json:
         import json
         payload = dec.to_json()
@@ -130,21 +111,15 @@ def cmd_decompose(args) -> int:
                 + "\n"
                 for s in trace.steps
             )
-    if not _write(args.output, out):
-        return 1
+    _write(args.output, out)
     return 0 if met else 2
 
 
 def cmd_verify(args) -> int:
     if args.graph == args.decomposition == "-":
-        print("error: stdin can feed the graph or the decomposition, not both", file=sys.stderr)
-        return 1
-    try:
-        g = parse_edge_list(_read(args.graph))
-        paths, bound, _met = parse_decomposition(_read(args.decomposition))
-    except (GraphError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("stdin can feed the graph or the decomposition, not both")
+    g = parse_edge_list(_read(args.graph))
+    paths, bound, _met = parse_decomposition(_read(args.decomposition))
     report = verify_decomposition(g, SimpleNamespace(paths=paths, claimed_bound=bound))
     if args.json:
         import json
@@ -161,20 +136,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.family is not None:
-            g = family(args.family, args.n)
-        else:
-            if args.n is None:
-                print("error: --n is required without --family", file=sys.stderr)
-                return 1
-            g = generate(
-                GenSpec(n=args.n, seed=args.seed, connect=args.connected, p2=args.p2)
-            )
-    except (UnknownFamily, ValueError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0 if _write(args.output, format_edge_list(g)) else 1
+    if args.family is not None:
+        g = family(args.family, args.n)
+    elif args.n is None:
+        raise ValueError("--n is required without --family")
+    else:
+        g = generate(GenSpec(n=args.n, seed=args.seed, connect=args.connected, p2=args.p2))
+    _write(args.output, format_edge_list(g))
+    return 0
 
 
 def run_fuzz(
@@ -264,19 +233,15 @@ def cmd_fuzz(args) -> int:
     def reproducer(flags: str) -> None:
         print(f"reproduce: gallai fuzz {flags}", file=sys.stderr)
 
-    try:
-        report = run_fuzz(
-            trials=args.trials,
-            max_n=args.max_n,
-            seed=args.seed,
-            p2=args.p2,
-            densify=args.densify,
-            oracle_max_edges=args.oracle_max_edges,
-            reproducer=reproducer,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = run_fuzz(
+        trials=args.trials,
+        max_n=args.max_n,
+        seed=args.seed,
+        p2=args.p2,
+        densify=args.densify,
+        oracle_max_edges=args.oracle_max_edges,
+        reproducer=reproducer,
+    )
     if args.json:
         import json
         print(json.dumps(report.to_json(), sort_keys=True, indent=2))
@@ -353,7 +318,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for bad flags; bad flags are 1 here
         return 0 if exc.code == 0 else 1
-    return args.func(args)
+    try:
+        code = args.func(args)
+        try:
+            sys.stdout.flush()  # here, so a failed write is reported, not raised at exit
+        except OSError:
+            sys.stdout.close()  # drops the unwritten bytes the exit flush would fail on
+            raise
+        return code
+    except InternalInvariantViolation as exc:
+        import json
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        print(json.dumps([s.to_json() for s in exc.steps], sort_keys=True), file=sys.stderr)
+        return 5
+    except (GraphError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

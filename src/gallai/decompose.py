@@ -35,6 +35,7 @@ from .graph import (
     Cycle,
     Edge,
     Graph,
+    GraphError,
     NoPath,
     Path,
     Record,
@@ -557,7 +558,8 @@ class _Engine:
         where their paths start, the planned piece's vertex count and its
         finish. Sub-pieces are pushed in reverse so they run in order, and
         every step is logged as it runs, a finish's when it is run: the trace
-        reads as the induction does.
+        reads as the induction does. Any failure inside is the construction's,
+        so it leaves as an InternalInvariantViolation carrying that trace.
         """
         out: list[Path] = []
         work: list = [piece]
@@ -585,6 +587,8 @@ class _Engine:
                     raise self.fail(f"{len(out) - start} paths exceed floor({n}/2)")
         except (NoIntersectingPath, GeometryMismatch) as exc:
             raise self.fail(f"cycle merge: {exc}") from exc
+        except (GraphError, ValueError) as exc:  # a failed search or Path/Cycle/TraceStep check
+            raise self.fail(f"{type(exc).__name__}: {exc}") from exc
         return out
 
     # -- main dispatch ------------------------------------------------------
@@ -772,7 +776,7 @@ class _Engine:
         if dist <= 2:
             core = (u, v) if dist == 1 else (u, min(g.neighbors(u) & g.neighbors(v)), v)
         else:
-            core = shortest_path(g, u, v).vertices
+            core = self.shortest(u, v, set(), "Claim 1 carrier").vertices
         ext_u = self.spare_neighbor(u, core[1])
         ext_v = self.spare_neighbor(v, core[-2])
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 import random
 
 from .graph import (
-    MAX_VERTICES, Graph, Record, connected_components, is_cut_vertex, is_two_degenerate
+    MAX_VERTICES, Graph, IdOutOfRange, Record, connected_components, is_cut_vertex,
+    is_two_degenerate,
 )
 
 FAMILIES = (
@@ -148,6 +149,8 @@ def family(name: str, n: int | None = None) -> Graph:
         raise UnknownFamily(f"unknown family {name!r}")
     if n is None:
         raise ValueError(f"family {name} needs a vertex count")
+    if n > MAX_VERTICES:  # before any edge is built, as Graph.from_edges would refuse it
+        raise IdOutOfRange(f"vertex count {n} is over the limit of {MAX_VERTICES}")
 
     if name == "path":
         return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])

@@ -1,3 +1,4 @@
+import errno
 import importlib
 import io
 import json
@@ -19,8 +20,13 @@ from gallai.decompose import (
     TraceStep,
     _Engine,
 )
-from gallai.generate import family
-from gallai.graph import MAX_VERTICES, format_edge_list, parse_edge_list
+from gallai.generate import family, generate
+from gallai.graph import MAX_VERTICES, NoPath, format_edge_list, parse_edge_list
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 TRIANGLE = "p 3 3\n0 1\n1 2\n0 2\n"
 K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -505,3 +511,172 @@ class TestPipeline:
             for _ in range(3)
         ]
         assert runs[0] == runs[1] == runs[2]
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# 0 and 5 are the only low vertices, at distance 3, so the first search the
+# decomposer makes is the Claim 1 carrier's; the edge 6-7 adds a split step
+FAR_PAIR = "0 1\n0 2\n1 2\n1 3\n1 4\n2 3\n2 4\n3 5\n4 5\n6 7\n"
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("command", ("decompose", "verify", "gen", "fuzz"))
+    def test_stdout_write_error_exits_one(self, command, graph_file, capsys, monkeypatch):
+        g = graph_file(C4)
+        d = graph_file("paths 2 bound 2 met true\n0 1 2\n2 3 0\n", "dec.txt")
+        argv = {
+            "decompose": ["decompose", g],
+            "verify": ["verify", g, d],
+            "gen": ["gen", "--n", "9"],
+            "fuzz": ["fuzz", "--trials", "1", "--max-n", "8"],
+        }[command]
+        monkeypatch.setattr("sys.stdout", _FullStdout())
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+    def test_engine_search_failure_exits_five_with_trace(self, graph_file, capsys, monkeypatch):
+        def no_path(*_args, **_kwargs):
+            raise NoPath("forced")
+
+        monkeypatch.setattr(importlib.import_module("gallai.decompose"), "shortest_path", no_path)
+        assert main(["decompose", graph_file(FAR_PAIR)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason, trace = captured.err.splitlines()
+        assert reason == (
+            "error: internal invariant violated: "
+            "missing Claim 1 carrier: no 0->5 path avoiding []"
+        )
+        assert [s["tag"] for s in json.loads(trace)] == ["ComponentSplit"]
+
+    def test_fuzz_trial_fault_is_a_recorded_failure(self, capsys, monkeypatch):
+        # only trial graphs come from `generate`; the seed families from `family`
+        trials = []
+        real_generate, real_plan = generate, _Engine.plan
+
+        def traced_generate(spec):
+            trials.append(spec)
+            return real_generate(spec)
+
+        def plan(self, p):
+            if trials:
+                raise ValueError("forced")
+            return real_plan(self, p)
+
+        monkeypatch.setattr("gallai.cli.generate", traced_generate)
+        monkeypatch.setattr(_Engine, "plan", plan)
+        assert main(["fuzz", "--trials", "1", "--max-n", "8", "--seed", "5"]) == 4
+        captured = capsys.readouterr()
+        assert "failure seed=5 kind=InternalInvariantViolation" in captured.out
+        assert captured.err == "reproduce: gallai fuzz --trials 1 --max-n 8 --seed 5\n"
+
+    def test_seed_family_fault_exits_five_with_trace(self, capsys, monkeypatch):
+        step = TraceStep(tag="Base", vertices={"u": 0, "v": 1}, n=2, m=1)
+
+        def broken(self, p):
+            raise InternalInvariantViolation("forced", [step])
+
+        monkeypatch.setattr(_Engine, "plan", broken)
+        assert main(["fuzz", "--trials", "1", "--max-n", "8"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason, trace = captured.err.splitlines()
+        assert reason == "error: internal invariant violated: forced"
+        assert json.loads(trace) == [step.to_json()]
+
+
+def _cap_address_space():
+    # a run that sets aside memory for an oversize graph fails fast, not the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# documented failure inputs, each exit 1: argv, with {name} for a file the
+# test writes (`missing` and `no_dir` are never written; `{full}` last puts
+# stdout on /dev/full)
+SWEEP = {
+    "bad-flag": ["gen", "--n", "notanumber"],
+    "unknown-family": ["gen", "--family", "petersen"],
+    "gen-without-n": ["gen"],
+    "gen-oversize-family": ["gen", "--family", "path", "--n", "1000000000"],
+    "decompose-missing-file": ["decompose", "{missing}"],
+    "verify-missing-file": ["verify", "{g}", "{missing}"],
+    "decompose-non-ascii": ["decompose", "{non_ascii}"],
+    "verify-non-ascii": ["verify", "{g}", "{non_ascii}"],
+    "decompose-plus-id": ["decompose", "{plus}"],
+    "verify-plus-id": ["verify", "{plus}", "{d}"],
+    "decompose-huge-header": ["decompose", "{huge}"],
+    "verify-huge-header": ["verify", "{huge}", "{d}"],
+    "decompose-not-2-degenerate": ["decompose", "{k4}"],
+    "verify-stdin-twice": ["verify", "-", "-"],
+    "decompose-unwritable-output": ["decompose", "{g}", "-o", "{no_dir}/d.txt"],
+    "gen-unwritable-output": ["gen", "--n", "5", "-o", "{no_dir}/g.txt"],
+    "fuzz-bad-limits": ["fuzz", "--trials", "1", "--max-n", "3"],
+}
+# stdout on /dev/full: a buffered stdout fails at its flush, an unbuffered one
+# at the write itself
+SWEEP.update(
+    (f"{argv[0]}-stdout-full-{buffering}", [*argv, "{full}"])
+    for buffering in ("buffered", "unbuffered")
+    for argv in (
+        ["decompose", "{g}"],
+        ["verify", "{g}", "{d}"],
+        ["gen", "--n", "300"],
+        ["fuzz", "--trials", "2", "--max-n", "8"],
+    )
+)
+
+
+class TestNoTraceback:
+    """Failures end in one `error:` line, even those only a process exit shows.
+
+    An unflushed stdout is written at interpreter exit, where a failure
+    prints `Exception ignored ...` and exits 120; in-process tests miss it.
+    """
+
+    @pytest.mark.parametrize("case", sorted(SWEEP))
+    def test_one_error_line_and_no_traceback(self, case, tmp_path):
+        argv = SWEEP[case]
+        files = {
+            "g": C4,
+            "d": "paths 2 bound 2 met true\n0 1 2\n2 3 0\n",
+            "non_ascii": "0 1\n1 2\xe9\n",
+            "plus": "+0 +1\n",
+            "huge": "p 1000000000 0\n",
+            "k4": K4,
+        }
+        paths = {name: tmp_path / f"{name}.txt" for name in files}
+        for name, text in files.items():
+            paths[name].write_bytes(text.encode("latin-1"))
+        paths.update(missing=tmp_path / "missing.txt", no_dir=tmp_path / "no-dir")
+        full = argv[-1] == "{full}"
+        if full:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this system")
+            argv = argv[:-1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(gallai.__file__).resolve().parent.parent)
+        env.pop("PYTHONUNBUFFERED", None)
+        if case.endswith("-unbuffered"):
+            env["PYTHONUNBUFFERED"] = "1"
+        preexec = _cap_address_space if resource is not None else None
+        if case == "gen-oversize-family" and preexec is None:
+            pytest.skip("no address-space limit on this system")
+        with open("/dev/full" if full else os.devnull, "w") as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gallai.cli", *(a.format(**paths) for a in argv)],
+                stdin=subprocess.DEVNULL,
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                env=env,
+                preexec_fn=preexec,
+            )
+        err = proc.stderr.decode()
+        assert proc.returncode == 1, err
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+        assert sum("error:" in ln for ln in err.splitlines()) == 1, err

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,7 +21,9 @@ from gallai.generate import (
     generate,
 )
 from gallai.graph import (
+    MAX_VERTICES,
     Graph,
+    IdOutOfRange,
     connected_components,
     format_edge_list,
     is_cut_vertex,
@@ -176,6 +179,22 @@ class TestFamilies:
     def test_scale_constraints(self, name, n):
         with pytest.raises(ValueError):
             family(name, n)
+
+    @pytest.mark.parametrize("name", [f for f in FAMILIES if not f.startswith("fig")])
+    def test_oversize_n_refused_before_any_edge(self, name):
+        # MAX_VERTICES + 1 (odd, so every family accepts its shape) keeps a
+        # regression cheap: the edge list it would build is about 100 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(IdOutOfRange) as info:
+                family(name, MAX_VERTICES + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            f"vertex count {MAX_VERTICES + 1} is over the limit of {MAX_VERTICES}"
+        )
+        assert peak < 1 << 20
 
     def test_path_and_star_shapes(self):
         p = family("path", 5)
