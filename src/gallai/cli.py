@@ -314,12 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help and 2 for bad flags; bad flags are 1 here
-        return 0 if exc.code == 0 else 1
-    try:
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 0 for --help and 2 for bad flags; bad flags are 1 here
+            code = 0 if exc.code == 0 else 1
+        else:
+            code = args.func(args)
         try:
             sys.stdout.flush()  # here, so a failed write is reported, not raised at exit
         except OSError:

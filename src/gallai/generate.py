@@ -111,19 +111,24 @@ def generate(spec: GenSpec) -> Graph:
 
     Vertex v draws its k <= 2 back-edges through `rng.randrange`, making
     exactly the draws, in the same order, that `sorted(rng.sample(range(v),
-    k))` makes, so each seed gives the graph that sampling gave.
+    k))` makes, so each seed gives the graph that sampling gave. The edges go
+    straight into neighbour sets as they are drawn, and the graph is built
+    from those sets without `from_edges`' checks, which no draw can fail.
     """
     rng = random.Random(spec.seed)
     rand, randrange = rng.random, rng.randrange
     p2, skip = spec.p2, not spec.connect
-    edges: list[tuple[int, int]] = []
+    # ids go in as `from_edges` adds the edge list (a, v) or (min, v), (max, v)
+    # per vertex v, so each set iterates as in the graph built from that list
+    nbrs: list[set[int]] = [set() for _ in range(spec.n)]
     for v in range(1, spec.n):
         two = rand() < p2
         if skip and rand() < _P_SKIP:
             continue
         a = randrange(v)
         if not two or v == 1:
-            edges.append((a, v))
+            nbrs[a].add(v)
+            nbrs[v].add(a)
             continue
         # 21 is sample's pool limit for k <= 5: up to it, sample swaps the
         # first pick out of a list; past it, it redraws until it misses
@@ -134,8 +139,12 @@ def generate(spec: GenSpec) -> Graph:
             b = randrange(v)
             while b == a:
                 b = randrange(v)
-        edges += ((a, v), (b, v)) if a < b else ((b, v), (a, v))
-    return Graph.from_edges(spec.n, edges)
+        if b < a:
+            a, b = b, a
+        nbrs[a].add(v)
+        nbrs[b].add(v)
+        nbrs[v].update((a, b))
+    return Graph.from_neighbor_sets(nbrs, sum(map(len, nbrs)) // 2)
 
 
 def family(name: str, n: int | None = None) -> Graph:
@@ -198,6 +207,11 @@ def densify(g: Graph, seed: int, max_rounds: int | None = None) -> Graph:
     without breaking 2-degeneracy are left alone, so the result is best
     effort (tiny graphs such as a bare path on 3 vertices stay as they are).
 
+    The working graph is one list of neighbour sets: a candidate edge joins
+    them in place, one `is_two_degenerate` peel over the sets checks it, and
+    a failed one is taken out again. The result is built from the sets once,
+    or is g itself when no edge was added.
+
     One low vertex, the survivor, is never touched; the rest get new edges
     one at a time. Endpoints that are themselves low come first, so one edge
     can fix two vertices, and distance-2 endpoints beat distant ones, which
@@ -214,11 +228,12 @@ def densify(g: Graph, seed: int, max_rounds: int | None = None) -> Graph:
     depends on.
     """
     rng = random.Random(seed)
-    # the working neighbour sets and degrees, updated on each accepted edge;
+    # the working graph and its degrees, updated on each accepted edge;
     # degrees only grow, so the live vertices stay the same and a vertex
     # leaves `lows` for good once it reaches degree 3
     nbrs = [set(g.neighbors(v)) for v in range(g.n)]
     deg = [len(s) for s in nbrs]
+    m = g.m
     live = [v for v in range(g.n) if deg[v]]
     lows = [v for v in live if deg[v] <= 2]
     unfixable: set[int] = set()
@@ -226,7 +241,7 @@ def densify(g: Graph, seed: int, max_rounds: int | None = None) -> Graph:
     cap = max_rounds if max_rounds is not None else 4 * g.n + 20
     while rounds < cap:
         rounds += 1
-        if len(lows) <= 1 or g.m == 2 * len(live) - 3:
+        if len(lows) <= 1 or m == 2 * len(live) - 3:
             break
         survivor = min(lows, key=lambda v: (v not in unfixable, deg[v], v))
         todo = [v for v in lows if v != survivor and v not in unfixable]
@@ -247,18 +262,19 @@ def densify(g: Graph, seed: int, max_rounds: int | None = None) -> Graph:
             order += t
 
         for u in order:
-            candidate = g.with_edges([(min(u, v), max(u, v))])
-            if is_two_degenerate(candidate):
-                g = candidate
-                nbrs[u].add(v)
-                nbrs[v].add(u)
+            nbrs[u].add(v)
+            near.add(u)
+            if is_two_degenerate(nbrs):
                 deg[u] += 1
                 deg[v] += 1
+                m += 1
                 lows = [w for w in lows if deg[w] <= 2]
                 break
+            nbrs[u].remove(v)
+            near.remove(u)
         else:
             unfixable.add(v)
-    return g
+    return g if m == g.m else Graph.from_neighbor_sets(nbrs, m)
 
 
 # -- structured dense instances ---------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -120,8 +120,13 @@ class Graph(Record):
             sets[u].add(v)
             sets[v].add(u)
             m += 1
-        adj = tuple(frozenset(s) if s else _EMPTY for s in sets)
-        return cls(n, adj, m)
+        return cls.from_neighbor_sets(sets, m)
+
+    @classmethod
+    def from_neighbor_sets(cls, sets: Sequence[Iterable[int]], m: int) -> "Graph":
+        """Freeze neighbour sets that the caller built itself, unchecked: they
+        must be symmetric, loop-free, inside the universe and hold m edges."""
+        return cls(len(sets), tuple(frozenset(s) if s else _EMPTY for s in sets), m)
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -180,7 +185,8 @@ class Graph(Record):
         return Graph(self.n, tuple(adj), m // 2)
 
     def with_edges(self, edges: Iterable[Edge]) -> "Graph":
-        """Copy with extra edges added (used for small reattachment views)."""
+        """Copy with extra edges added. No code in `gallai` calls it any more;
+        it stays while the benchmark's tracer binds it as a copy site."""
         adj = list(self._adj)
         added = 0
         for u, v in edges:
@@ -395,31 +401,31 @@ def degeneracy_order(g: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def is_two_degenerate(g: Graph) -> bool:
+def is_two_degenerate(g: Graph | Sequence[Collection[int]]) -> bool:
     """Whether every subgraph of g has a vertex of degree <= 2.
 
-    A linear stack peel (Matula & Beck, J. ACM 1983): a vertex is flagged
-    gone and pushed once its remaining degree is at most 2, and popping it
-    lowers its neighbours' degrees. Peeling is confluent, so whatever the
-    order, what never gets flagged is the 3-core, and g is 2-degenerate
-    exactly when that is empty. Unlike `degeneracy_order` this builds no
-    order and no error, which is what `densify` needs for its many checks
-    and `decompose` for its validation. It takes a `Graph` only, since it
-    reads the adjacency tuple directly.
+    g is a `Graph` or a sequence of neighbour sets, one per vertex of the
+    universe, such as the working sets that `densify` edits in place.
+
+    A linear stack peel (Matula & Beck, J. ACM 1983): a vertex is pushed
+    once its remaining degree is at most 2, and popping it lowers its
+    neighbours' degrees. A pushed vertex's degree is at most 2 from then on,
+    so only the step from 3 to 2 pushes, and each vertex is pushed once.
+    Peeling is confluent, so whatever the order, what is never pushed is the
+    3-core, and g is 2-degenerate exactly when that is empty. Unlike
+    `degeneracy_order` this builds no order and no error, which is what
+    `densify` needs for its many checks and `decompose` for its validation.
     """
-    adj = g._adj
-    deg = [len(nbrs) for nbrs in adj]
-    gone = [d <= 2 for d in deg]
-    stack = [v for v in range(g.n) if gone[v]]
-    left = g.n - len(stack)  # vertices not yet flagged
+    adj = g._adj if isinstance(g, Graph) else g
+    deg = list(map(len, adj))
+    stack = [v for v, d in enumerate(deg) if d <= 2]
+    left = len(deg) - len(stack)  # vertices not yet pushed
     while stack and left:
         for w in adj[stack.pop()]:
-            if not gone[w]:
-                deg[w] -= 1
-                if deg[w] == 2:
-                    gone[w] = True
-                    stack.append(w)
-                    left -= 1
+            deg[w] -= 1
+            if deg[w] == 2:
+                stack.append(w)
+                left -= 1
     return not left
 
 

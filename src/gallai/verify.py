@@ -70,47 +70,44 @@ def verify_decomposition(g: Graph, d) -> VerificationReport:
     `claimed_bound` attributes; path entries may be raw vertex sequences.
     """
     failures: list[Failure] = []
-    covered: Counter[tuple[int, int]] = Counter()
+    covered: list[tuple[int, int]] = []  # one entry per step along a real edge
+    n, has_edge = g.n, g.has_edge
 
     # Path objects or bare vertex sequences, so corrupted files can be
     # checked without tripping constructor validation first
     paths = [tuple(getattr(p, "vertices", p)) for p in d.paths]
     for i, vs in enumerate(paths):
-        if len(vs) == 0:
+        if not vs:
             failures.append(Failure("NotAPath", f"path {i} is empty"))
             continue
-        bad_ids = [v for v in vs if not (0 <= v < g.n)]
-        if bad_ids:
-            failures.append(
-                Failure("NotAPath", f"path {i} names unknown vertex {bad_ids[0]}")
-            )
+        if min(vs) < 0 or max(vs) >= n:
+            bad = next(v for v in vs if not 0 <= v < n)
+            failures.append(Failure("NotAPath", f"path {i} names unknown vertex {bad}"))
             continue
-        seen: set[int] = set()
-        for v in vs:
-            if v in seen:
-                failures.append(
-                    Failure("NotAPath", f"path {i} repeats vertex {v}")
-                )
-                break
-            seen.add(v)
+        if len(set(vs)) < len(vs):
+            seen: set[int] = set()
+            v = next(v for v in vs if v in seen or seen.add(v))
+            failures.append(Failure("NotAPath", f"path {i} repeats vertex {v}"))
         for a, b in zip(vs, vs[1:]):
-            if a == b:
-                continue
-            if g.has_edge(a, b):
-                covered[(min(a, b), max(a, b))] += 1
-            else:
+            if has_edge(a, b):
+                covered.append((a, b) if a < b else (b, a))
+            elif a != b:  # a step that stays put is the repeat reported above
                 failures.append(
                     Failure("EdgeForeign", f"path {i} uses non-edge ({a}, {b})")
                 )
 
-    for e in g.edges():
-        if e not in covered:
-            failures.append(Failure("EdgeMissing", f"edge {e} is not covered"))
-    for e in sorted(covered):
-        if covered[e] > 1:
-            failures.append(
-                Failure("EdgeRepeated", f"edge {e} covered {covered[e]} times")
-            )
+    count = Counter(covered)
+    if len(count) < g.m:
+        failures += [
+            Failure("EdgeMissing", f"edge {e} is not covered")
+            for e in g.edges()
+            if e not in count
+        ]
+    if len(count) < len(covered):
+        failures += [
+            Failure("EdgeRepeated", f"edge {e} covered {count[e]} times")
+            for e in sorted(e for e, k in count.items() if k > 1)
+        ]
 
     bound = d.claimed_bound
     if len(paths) > bound:

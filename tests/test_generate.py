@@ -266,30 +266,34 @@ class TestDensify:
         assert edge_list_digest(densify_outputs()) == DENSIFY_DIGEST
 
     def test_checks_each_candidate_through_the_module_global(self, monkeypatch):
-        # the benchmark's tracer wraps these two names to count densify's
-        # checks and accepts; each candidate must be built by `with_edges`
-        # and checked once by generate's `is_two_degenerate`
-        built, checked, accepted = [], [], []
-        with_edges = Graph.with_edges
+        # the benchmark's tracer wraps generate's `is_two_degenerate` to count
+        # densify's checks and accepts; each candidate is checked once, on
+        # densify's own neighbour sets, and no graph is copied to do it
+        checked, accepted = [], []
         gen = importlib.import_module("gallai.generate")
         check = gen.is_two_degenerate
 
-        def counting_with_edges(self, edges):
-            built.append(with_edges(self, edges))
-            return built[-1]
+        def no_copy(self, edges):
+            raise AssertionError("densify copied the graph")
 
         def counting_check(h):
-            checked.append(h)
+            checked.append({(u, w) for u, s in enumerate(h) for w in s if u < w})
             accepted.append(check(h))
             return accepted[-1]
 
-        monkeypatch.setattr(Graph, "with_edges", counting_with_edges)
+        monkeypatch.setattr(Graph, "with_edges", no_copy)
         monkeypatch.setattr(gen, "is_two_degenerate", counting_check)
         g = generate(GenSpec(n=40, seed=2, p2=0.6))
         d = densify(g, seed=2)
-        assert len(checked) == len(built) > d.m - g.m > 0
-        assert all(a is b for a, b in zip(checked, built))
+        assert len(checked) > d.m - g.m > 0
         assert sum(accepted) == d.m - g.m
+        # each check sees the edges accepted so far plus one candidate
+        edges = set(g.edges())
+        for seen, ok in zip(checked, accepted):
+            assert edges < seen and len(seen - edges) == 1
+            if ok:
+                edges = seen
+        assert edges == set(d.edges())
 
     @pytest.mark.parametrize("n", [5, 6, 9, 30])
     def test_stops_at_the_edge_bound(self, n, monkeypatch):

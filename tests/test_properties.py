@@ -131,6 +131,11 @@ def peels_completely(g):
     return True
 
 
+def neighbor_sets(g):
+    """g as the sequence of mutable neighbour sets that `densify` edits."""
+    return [set(g.neighbors(v)) for v in range(g.n)]
+
+
 _K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
@@ -153,13 +158,22 @@ class TestTwoDegeneratePeel:
             (4, _K4, False),
             (5, _K4 + [(3, 4)], False),
             (5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)], False),
+            (7, [(u + 3, w + 3) for u, w in _K4], False),
         ],
-        ids=["empty", "isolated", "k4", "k4-pendant", "wheel-w5"],
+        ids=["empty", "isolated", "k4", "k4-pendant", "wheel-w5", "k4-beside-isolated"],
     )
     def test_fixed_cases(self, n, edges, expected):
         g = Graph.from_edges(n, edges)
         assert is_two_degenerate(g) is expected
         assert peels_completely(g) is expected
+        sets = neighbor_sets(g)
+        assert is_two_degenerate(sets) is expected
+        assert sets == neighbor_sets(g)  # read, not consumed
+
+    @settings(max_examples=300)
+    @given(edge_sets())
+    def test_neighbor_sets_read_as_the_graph(self, g):
+        assert is_two_degenerate(neighbor_sets(g)) is is_two_degenerate(g)
 
     @pytest.mark.parametrize("n", range(5, 10))
     def test_capped_strip_takes_no_more_edges(self, n):

@@ -1,9 +1,11 @@
 import hashlib
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+from gallai.decompose import decompose
 from gallai.generate import GenSpec, dense_instance, generate
 from gallai.graph import Graph, Path
 from gallai.verify import (
@@ -11,10 +13,12 @@ from gallai.verify import (
     Failure,
     OracleWitness,
     TooLarge,
+    VerificationReport,
     minimum_decomposition,
     odd_degree_lower_bound,
     verify_decomposition,
 )
+from test_golden import corpus
 
 
 def claim(paths, bound):
@@ -113,6 +117,95 @@ class TestVerify:
             Failure("Nonsense", "x")
         for kind in FAILURE_KINDS:
             Failure(kind, "ok")
+
+
+def reference_report(g, d):
+    """verify_decomposition as a plain per-vertex loop over a Counter, the
+    reference its single-pass bookkeeping must match failure for failure."""
+    failures = []
+    covered = Counter()
+    paths = [tuple(getattr(p, "vertices", p)) for p in d.paths]
+    for i, vs in enumerate(paths):
+        if len(vs) == 0:
+            failures.append(Failure("NotAPath", f"path {i} is empty"))
+            continue
+        bad_ids = [v for v in vs if not (0 <= v < g.n)]
+        if bad_ids:
+            failures.append(Failure("NotAPath", f"path {i} names unknown vertex {bad_ids[0]}"))
+            continue
+        seen = set()
+        for v in vs:
+            if v in seen:
+                failures.append(Failure("NotAPath", f"path {i} repeats vertex {v}"))
+                break
+            seen.add(v)
+        for a, b in zip(vs, vs[1:]):
+            if a == b:
+                continue
+            if g.has_edge(a, b):
+                covered[(min(a, b), max(a, b))] += 1
+            else:
+                failures.append(Failure("EdgeForeign", f"path {i} uses non-edge ({a}, {b})"))
+    for e in g.edges():
+        if e not in covered:
+            failures.append(Failure("EdgeMissing", f"edge {e} is not covered"))
+    for e in sorted(covered):
+        if covered[e] > 1:
+            failures.append(Failure("EdgeRepeated", f"edge {e} covered {covered[e]} times"))
+    bound = d.claimed_bound
+    if len(paths) > bound:
+        failures.append(Failure("BoundExceeded", f"{len(paths)} paths exceed the claimed {bound}"))
+    return VerificationReport(
+        valid=not failures,
+        failures=tuple(failures),
+        path_count=len(paths),
+        bound=bound,
+        odd_lower_bound=odd_degree_lower_bound(g),
+    )
+
+
+def non_edge(g):
+    """Some pair of distinct vertices that g does not join, or None."""
+    for u in range(g.n):
+        for w in range(u + 1, g.n):
+            if not g.has_edge(u, w):
+                return (u, w)
+    return None
+
+
+def corruptions(g, paths, bound):
+    """(name, paths, bound) for a certificate and its broken variants."""
+    first = paths[0]
+    yield "valid", paths, bound
+    yield "dropped path", paths[1:], bound
+    yield "duplicated path", paths + [first], bound + 1
+    yield "closed into a cycle", [first + first[:1]] + paths[1:], bound
+    yield "step that stays put", [first[:1] + first] + paths[1:], bound
+    yield "unknown id", [first + (g.n,)] + paths[1:], bound
+    yield "negative id", [(-1,) + first] + paths[1:], bound
+    yield "empty path", paths[:1] + [()] + paths[1:], bound + 1
+    pair = non_edge(g)
+    if pair is not None:
+        yield "foreign edge", paths + [pair], bound + 1
+        yield "foreign step inside", [first + pair] + paths[1:], bound
+    yield "bound too low", paths, len(paths) - 1
+    yield "every path twice, reversed", paths + [p[::-1] for p in paths], 2 * len(paths)
+
+
+class TestMatchesReference:
+    def test_golden_corpus_certificates_and_corruptions(self):
+        kinds = set()
+        for g in corpus():
+            dec, _trace, _met = decompose(g)
+            paths = [p.vertices for p in dec.paths]
+            if not paths:
+                continue
+            for name, ps, bound in corruptions(g, paths, dec.claimed_bound):
+                d = claim(ps, bound)
+                rep = verify_decomposition(g, d)
+                assert rep == reference_report(g, d), (g, name)
+                kinds.update(f.kind for f in rep.failures)
+        assert kinds == set(FAILURE_KINDS)
 
 
 class TestOddLowerBound:
