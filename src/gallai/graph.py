@@ -185,8 +185,8 @@ class Graph(Record):
         return Graph(self.n, tuple(adj), m // 2)
 
     def with_edges(self, edges: Iterable[Edge]) -> "Graph":
-        """Copy with extra edges added. No code in `gallai` calls it any more;
-        it stays while the benchmark's tracer binds it as a copy site."""
+        """Copy with extra edges added. No code in `gallai` calls it; it stays
+        while the benchmark's tracer binds it as a copy site."""
         adj = list(self._adj)
         added = 0
         for u, v in edges:

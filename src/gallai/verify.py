@@ -86,7 +86,10 @@ def verify_decomposition(g: Graph, d) -> VerificationReport:
             continue
         if len(set(vs)) < len(vs):
             seen: set[int] = set()
-            v = next(v for v in vs if v in seen or seen.add(v))
+            for v in vs:
+                if v in seen:
+                    break
+                seen.add(v)
             failures.append(Failure("NotAPath", f"path {i} repeats vertex {v}"))
         for a, b in zip(vs, vs[1:]):
             if has_edge(a, b):
