@@ -666,8 +666,47 @@ class _Engine:
             # p has at most one edge-bearing component, so it is the view
             g.rehang(p)
             return [p]
-        self.step("ComponentSplit", p.size, {}, components=comps)
-        return g.divide(p, comps)
+        return self.split(p, p.size, comps)
+
+    def split(
+        self, p: _Piece, size: tuple[int, int], sides: Sequence[tuple[int, ...]]
+    ) -> list[_Piece]:
+        """Log p's split into `sides`, at the view size `size`, and divide it."""
+        self.step("ComponentSplit", size, {}, components=sides)
+        return self.w.divide(p, sides)
+
+    def two_sides(
+        self, comps: tuple[tuple[int, ...], ...], a: int, b: int, what: str
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The components holding a and b, which a cut must have made: exactly
+        two, one each, neither a triangle."""
+        if len(comps) != 2:
+            raise self.fail(f"{what} split into {len(comps) or 1} pieces, expected 2")
+        side_a, side_b = comps if a in comps[0] else comps[::-1]
+        if b not in side_b:
+            raise self.fail(f"{what}: {a} and {b} stayed in one piece")
+        if self.is_triangle(side_a) or self.is_triangle(side_b):
+            raise self.fail(f"{what}: triangle piece beside {a} or {b}")
+        return side_a, side_b
+
+    def only(self, items: Iterable[int], what: str) -> int:
+        """The one element of items, which a branch needs to be unique."""
+        items = sorted(items)
+        if len(items) != 1:
+            raise self.fail(f"{what}: found {items}, expected exactly one")
+        return items[0]
+
+    def deg3_first(self, nbrs: Iterable[int], what: str) -> tuple[int, int]:
+        """The two vertices of nbrs, the least of degree 3 first."""
+        pair = sorted(nbrs)
+        if len(pair) != 2:
+            raise self.fail(f"{what}: found {pair}, expected two")
+        a, b = pair
+        if self.w.degree(a) == 3:
+            return a, b
+        if self.w.degree(b) == 3:
+            return b, a
+        raise self.fail(f"{what}: neither {a} nor {b} has degree 3")
 
     def is_triangle(self, c: Sequence[int]) -> bool:
         """Whether a component c of the graph less some vertices is a triangle."""
@@ -704,10 +743,8 @@ class _Engine:
         removed = carrier_edges = set(carrier.edges())
         touched = list(carrier.vertices)
         if reattach:
-            pre_removed = [norm_edge(a, b) for a, b in reattach]
+            pre_removed = self.reattach(reattach)
             removed = carrier_edges.union(pre_removed)
-            self.reattach(reattach)
-            g.delete(pre_removed)
             pre_ends = [w for e in pre_removed for w in e]
             if triangle_components(g, near=pre_ends):
                 raise self.fail(f"{tag}: edge removal exposed a triangle component")
@@ -728,12 +765,15 @@ class _Engine:
             g.delete(e for t in tris for e in _triangle_edges(t))
         return self.pieces(p, touched), (reattach, None, tris, carrier)
 
-    def reattach(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Check a finish's (endpoint, new) pairs against the view, before
-        their edges are deleted."""
+    def reattach(self, pairs: Sequence[tuple[int, int]]) -> list[Edge]:
+        """Check a finish's (endpoint, new) pairs against the view, then
+        delete their edges, which the finish puts back; returns the edges."""
         for endpoint, new in pairs:
             if not self.w.has_edge(endpoint, new):
                 raise self.fail(f"reattach edge ({endpoint}, {new}) missing")
+        edges = [norm_edge(a, b) for a, b in pairs]
+        self.w.delete(edges)
+        return edges
 
     def extend(self, out: list[Path], start: int, pairs: Sequence[tuple[int, int]]) -> None:
         """Extend, in order, the path of out[start:] ending at each pair's
@@ -748,10 +788,8 @@ class _Engine:
             if prev is not None and prev[1] == endpoint:
                 idx = prev[0]
             else:
-                hits = [i for i in range(start, len(out)) if endpoint in out[i].endpoints]
-                if len(hits) != 1:
-                    raise self.fail(f"{len(hits)} paths end at {endpoint}; need exactly one")
-                idx = hits[0]
+                hits = (i for i in range(start, len(out)) if endpoint in out[i].endpoints)
+                idx = self.only(hits, f"indices of the paths ending at {endpoint}")
             p = out[idx]
             if new in p.vertices:
                 raise self.fail(f"extension vertex {new} already on the path")
@@ -846,12 +884,7 @@ class _Engine:
         x = next(iter(g.neighbors(v)))
         if g.degree(x) != 3:
             raise self.fail(f"pendant support {x} has degree {g.degree(x)}, not 3")
-        others = sorted(g.neighbors(x) - {v})
-        deg3 = [t for t in others if g.degree(t) == 3]
-        if not deg3:
-            raise self.fail(f"neither neighbour of the support {x} has degree 3")
-        w = deg3[0]
-        z = next(t for t in others if t != w)
+        w, z = self.deg3_first(g.neighbors(x) - {v}, f"Claim2: neighbours of the support {x}")
 
         comps = g.sides((w, z), p.verts, skip={v, x})
         if not comps:
@@ -876,20 +909,13 @@ class _Engine:
         comps: tuple[tuple[int, ...], ...],
     ) -> tuple[Sequence[_Piece], Finish]:
         g = self.w
-        if len(comps) != 2:
-            raise self.fail(f"support split into {len(comps)} pieces, expected 2")
-        side = {q: c for c in comps for q in c}
-        if side.get(w) is side.get(z):
-            raise self.fail("support neighbours landed in the same piece")
+        comp_j, comp_i = self.two_sides(comps, w, z, f"Claim2: pendant support {x}")
         for t in (w, z):
             if g.degree(t) != 3:
                 raise self.fail(f"split neighbour {t} has degree {g.degree(t)}, not 3")
-        comp_i, comp_j = side[z], side[w]
         if len(comp_j) % 2 != 0 and len(comp_i) % 2 == 0:
             w, z = z, w
             comp_i, comp_j = comp_j, comp_i
-        if self.is_triangle(comp_i) or self.is_triangle(comp_j):
-            raise self.fail("triangle piece beside a pendant support")
 
         if len(comp_j) % 2 == 1:
             # Both sides odd: two extra paths cover the support's star.
@@ -909,43 +935,30 @@ class _Engine:
 
     def _pendant_even_cut(self, p, v, x, w, z, comp_i, sub_comps):
         g = self.w
-        if len(sub_comps) != 2:
-            raise self.fail(f"{len(sub_comps)} pieces under the even side")
-        odd = [c for c in sub_comps if len(c) % 2 == 1]
-        even = [c for c in sub_comps if len(c) % 2 == 0]
-        if len(odd) != 1 or len(even) != 1:
-            raise self.fail("even side did not split odd/even")
-        j1, j2 = odd[0], even[0]
-        a_opts = sorted(g.neighbors(w) & set(j1))
-        b_opts = sorted(g.neighbors(w) & set(j2))
-        if len(a_opts) != 1 or len(b_opts) != 1:
-            raise self.fail("cut neighbour counts off in the even side")
-        a, b = a_opts[0], b_opts[0]
-        if self.is_triangle(j1):
-            raise self.fail("odd piece is a triangle beside the pendant support")
+        size = p.size
+        # w has degree 3, so its neighbours a and b besides x start the cut
+        a, b = sorted(g.neighbors(w) - {x})
+        j1, j2 = self.two_sides(sub_comps, a, b, f"Claim2-Subcase2.1: even side at {w}")
+        if len(j1) % 2 == len(j2) % 2:
+            raise self.fail(f"Claim2-Subcase2.1: even side at {w} did not split odd/even")
+        if len(j1) % 2 == 0:
+            a, b, j1, j2 = b, a, j2, j1
         self.step(
             "Claim2-Subcase2.1",
-            p.size,
+            size,
             {"v": v, "x": x, "w": w, "z": z, "a": a, "b": b},
             odd_side=j1,
             even_side=j2,
         )
+        g.delete([norm_edge(v, x), norm_edge(x, w), norm_edge(x, z), norm_edge(w, a)])
         # Decompose the far side, the odd piece, and the even piece with w.
         sides = (comp_i, j1, tuple(sorted(j2 + (w,))))
-        self.step("ComponentSplit", p.size, {}, components=sides)
-        g.delete([norm_edge(v, x), norm_edge(x, w), norm_edge(x, z), norm_edge(w, a)])
-        return g.divide(p, sides), ((), None, (), Path((a, w, x, z)), Path((v, x)))
+        return self.split(p, size, sides), ((), None, (), Path((a, w, x, z)), Path((v, x)))
 
     def _pendant_even_open(self, p, v, x, w, z):
-        g = self.w
-        nbrs = sorted(g.neighbors(w) - {x})
-        if len(nbrs) != 2:
-            raise self.fail(f"support neighbour {w} has stray edges")
-        deg3 = [t for t in nbrs if g.degree(t) == 3]
-        if not deg3:
-            raise self.fail(f"no degree-3 neighbour of {w} inside the even side")
-        a = deg3[0]
-        b = next(t for t in nbrs if t != a)
+        a, b = self.deg3_first(
+            self.w.neighbors(w) - {x}, f"Claim2-Subcase2.2: neighbours of {w} in the even side"
+        )
         p0 = self.shortest(a, b, {w}, "even-side detour")
         carrier = Path(p0.vertices + (w,))
         return self.run_plan(
@@ -960,30 +973,20 @@ class _Engine:
         self, p: _Piece, v: int, comps: tuple[tuple[int, ...], ...]
     ) -> tuple[Sequence[_Piece], Finish]:
         """Unique low vertex of degree 2 is an articulation point."""
-        g = self.w
-        if len(comps) != 2:
-            raise self.fail(f"degree-2 articulation made {len(comps)} pieces")
-        x, y = sorted(g.neighbors(v))
-        side = {q: c for c in comps for q in c}
-        comp_x, comp_y = side[x], side[y]
-        if comp_x is comp_y:
-            raise self.fail("both neighbours in one piece despite the split")
-        if self.is_triangle(comp_y):
-            raise self.fail("triangle piece across a degree-2 articulation")
+        size = p.size
+        x, y = sorted(self.w.neighbors(v))
+        comp_x, comp_y = self.two_sides(comps, x, y, f"Claim3: degree-2 articulation {v}")
         self.step(
             "Claim3",
-            p.size,
+            size,
             {"v": v, "x": x, "y": y},
             x_side=comp_x,
             y_side=comp_y,
         )
-        sides = (comp_x + (v,), comp_y)
-        self.step("ComponentSplit", p.size, {}, components=sides)
         # v stays on x's side with the edge vx; vy is reattached.
         pairs = ((v, y),)
         self.reattach(pairs)
-        g.delete([norm_edge(v, y)])
-        return g.divide(p, sides), (pairs, None, ())
+        return self.split(p, size, (comp_x + (v,), comp_y)), (pairs, None, ())
 
     def reduce_x_cut(self, p: _Piece, v: int, x: int) -> tuple[Sequence[_Piece], Finish]:
         """The support vertex x is an articulation point of the whole graph."""
@@ -991,23 +994,12 @@ class _Engine:
         y = next(iter(g.neighbors(v) - {x}))
         p0 = self.shortest(x, y, {v}, "support-to-partner detour")
         z = p0.vertices[1]
-        w_opts = sorted(g.neighbors(x) - {v, z})
-        if len(w_opts) != 1:
-            raise self.fail(f"support {x} should keep exactly one spare edge")
-        w = w_opts[0]
+        w = self.only(g.neighbors(x) - {v, z}, f"Claim4: spare neighbours of {x}")
         size = p.size
         pairs = ((x, z), (v, x))
         self.reattach(pairs)
-        g.delete([norm_edge(x, z), norm_edge(v, x)])
         comps = g.sides((x, z, v), p.verts)
-        if len(comps) != 2:
-            raise self.fail(f"articulation split made {len(comps) or 1} pieces")
-        side = {q: c for c in comps for q in c}
-        comp_a, comp_b = side[x], side[v]
-        if comp_a is comp_b:
-            raise self.fail("support and low vertex stayed connected")
-        if self.is_triangle(comp_a) or self.is_triangle(comp_b):
-            raise self.fail("triangle piece across the support articulation")
+        comp_a, comp_b = self.two_sides(comps, x, v, f"Claim4: support articulation {x}")
         self.step(
             "Claim4",
             size,
@@ -1015,10 +1007,8 @@ class _Engine:
             a_side=comp_a,
             b_side=comp_b,
         )
-        sides = (comp_a, comp_b)
-        self.step("ComponentSplit", size, {}, components=sides)
         # Extend within the pieces: x's stub picks up xz, v's picks up vx.
-        return g.divide(p, sides), (pairs, None, ())
+        return self.split(p, size, (comp_a, comp_b)), (pairs, None, ())
 
     def reduce_case_deg3_neighbor(
         self, p: _Piece, v: int, x: int, z: int
@@ -1026,10 +1016,7 @@ class _Engine:
         """The support x has a degree-3 neighbour z: reroute through it."""
         g = self.w
         p0 = self.shortest(z, v, {x}, "low-vertex detour")
-        spares = sorted(g.neighbors(z) - {x, p0.vertices[1]})
-        if len(spares) != 1:
-            raise self.fail(f"degree-3 neighbour {z} kept {len(spares)} spare edges")
-        t = spares[0]
+        t = self.only(g.neighbors(z) - {x, p0.vertices[1]}, f"Case1-Deg3Neighbor: spares of {z}")
         if t in p0.vertices:
             raise self.fail("spare edge of z lands on a shortest detour")
         carrier = Path((t,) + p0.vertices + (x,))
@@ -1055,10 +1042,7 @@ class _Engine:
         if not zs:
             raise self.fail(f"no shared degree-4 neighbour of {x} and {y}")
         z = zs[0]
-        w_opts = sorted(g.neighbors(x) - {v, z})
-        if len(w_opts) != 1:
-            raise self.fail(f"support {x} should have one remaining neighbour")
-        w = w_opts[0]
+        w = self.only(g.neighbors(x) - {v, z}, f"Subcase2.1-Y3: spare neighbours of {x}")
         carrier = Path((y, z, x, w))
         return self.run_plan(
             p,
@@ -1077,10 +1061,7 @@ class _Engine:
             raise self.fail(f"partner {y} has degree {g.degree(y)}, expected 4")
         if not g.has_edge(x, y):
             raise self.fail(f"partner {y} not adjacent to support {x}")
-        z_opts = sorted(g.neighbors(x) - {v, y})
-        if len(z_opts) != 1:
-            raise self.fail(f"support {x} should keep one spare neighbour")
-        z = z_opts[0]
+        z = self.only(g.neighbors(x) - {v, y}, f"Subcase2.2-Y4: spare neighbours of {x}")
         p0 = self.shortest(z, v, {x}, "spare-to-low detour")
         carrier = Path((x,) + p0.vertices)
         return self.run_plan(

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import random
 
+# connected_components has no caller here; it stays because bench/tracer.py
+# wraps it under this module's name
 from .graph import (
     MAX_VERTICES, Graph, IdOutOfRange, Record, connected_components, is_cut_vertex,
     is_two_degenerate,

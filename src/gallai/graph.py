@@ -97,9 +97,7 @@ class Graph(Record):
     __slots__ = ("n", "_adj", "m")
 
     def __init__(self, n: int, adj: tuple[frozenset[int], ...], m: int):
-        object.__setattr__(self, "n", n)  # no `_init` loop: densify makes many
-        object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "m", m)
+        self._init(n, adj, m)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":

@@ -407,14 +407,41 @@ class TestFuzzCommand:
         assert "failure seed=5 kind=InvalidDecomposition" in captured.out
         assert "reproduce: gallai fuzz --trials 1 --max-n 8 --seed 5" in captured.err
 
-    def test_reproducer_flags_replay_the_trial(self):
+    def test_reproducer_flags_replay_the_trial(self, monkeypatch):
+        # a verifier that rejects every trial, keeping the graphs it is shown
+        shown = []
+
+        def reject(g, _dec):
+            shown.append(g)
+            return SimpleNamespace(valid=False)
+
+        monkeypatch.setattr("gallai.cli.verify_decomposition", reject)
         flags = []
-        run_fuzz(trials=3, max_n=9, seed=11, reproducer=flags.append)
-        # replaying trial k of a run is trial 0 of a shifted run
-        a = run_fuzz(trials=1, max_n=9, seed=13)
-        b = run_fuzz(trials=3, max_n=9, seed=11)
-        assert a.failures == [] and b.failures == []
-        assert a.max_n_seen <= 9 and b.max_n_seen <= 9
+        report = run_fuzz(
+            trials=3, max_n=20, seed=11, p2=0.5, densify=True, oracle_max_edges=12,
+            reproducer=flags.append,
+        )
+        assert flags == [
+            f"--trials 1 --max-n 20 --seed {s} --p2 0.5 --densify --oracle-max-edges 12"
+            for s in (11, 12, 13)
+        ]
+        assert [(f["seed"], f["kind"]) for f in report.failures] == [
+            (s, "InvalidDecomposition") for s in (11, 12, 13)
+        ]
+        graphs = shown[:]
+        for flag, failure, g in zip(flags, report.failures, graphs, strict=True):
+            shown.clear()
+            args = build_parser().parse_args(["fuzz", *flag.split()])
+            replay = run_fuzz(
+                trials=args.trials,
+                max_n=args.max_n,
+                seed=args.seed,
+                p2=args.p2,
+                densify=args.densify,
+                oracle_max_edges=args.oracle_max_edges,
+            )
+            assert replay.failures == [failure]
+            assert shown == [g]
 
     def test_report_json_sorts_histogram(self):
         r = FuzzReport(trials=0, branch_histogram={"b": 1, "a": 2})
@@ -523,6 +550,10 @@ class _FullStdout(io.StringIO):
 # 0 and 5 are the only low vertices, at distance 3, so the first search the
 # decomposer makes is the Claim 1 carrier's; the edge 6-7 adds a split step
 FAR_PAIR = "0 1\n0 2\n1 2\n1 3\n1 4\n2 3\n2 4\n3 5\n4 5\n6 7\n"
+CUT_AT_12 = (
+    "0 1\n2 3\n2 4\n2 12\n3 5\n3 6\n4 5\n4 6\n5 6\n"
+    "7 8\n7 9\n7 12\n8 10\n8 11\n9 10\n9 11\n10 11\n"
+)
 
 
 class TestErrorBoundary:
@@ -554,6 +585,24 @@ class TestErrorBoundary:
             "missing Claim 1 carrier: no 0->5 path avoiding []"
         )
         assert [s["tag"] for s in json.loads(trace)] == ["ComponentSplit"]
+
+    def test_failed_cut_check_exits_five_with_trace(self, graph_file, capsys, monkeypatch):
+        # an edge, then two strips joined through the degree-2 articulation 12
+        src = graph_file(CUT_AT_12)
+        assert main(["decompose", src, "--json", "--trace"]) == 0
+        steps = json.loads(capsys.readouterr().out)["trace"]
+        assert [s["tag"] for s in steps[:3]] == ["ComponentSplit", "Base", "Claim3"]
+
+        monkeypatch.setattr(_Engine, "is_triangle", lambda self, c: True)
+        assert main(["decompose", src]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason, trace = captured.err.splitlines()
+        assert reason == (
+            "error: internal invariant violated: "
+            "Claim3: degree-2 articulation 12: triangle piece beside 2 or 7"
+        )
+        assert json.loads(trace) == steps[:2]
 
     def test_fuzz_trial_fault_is_a_recorded_failure(self, capsys, monkeypatch):
         # only trial graphs come from `generate`; the seed families from `family`

@@ -285,6 +285,73 @@ class TestInvariantGuards:
             eng.solve(eng.w.open(range(4)))
 
 
+class TestCutChecks:
+    """The checks the unique-low branches share fail by name, with the trace."""
+
+    WHAT = "Claim3: degree-2 articulation 9"
+
+    @staticmethod
+    def engine():
+        # a triangle 0-1-2, a path 3-4-5, an edge 6-7 and the star 8-{2, 9, 10}
+        g = Graph.from_edges(
+            11, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (6, 7), (2, 8), (8, 9), (8, 10)]
+        )
+        eng = _Engine(g)
+        eng.step("Base", (2, 1), {"u": 6, "v": 7})
+        return eng
+
+    @staticmethod
+    def fails(eng, message, method, *args):
+        with pytest.raises(InternalInvariantViolation) as exc:
+            method(*args)
+        assert str(exc.value) == message
+        assert exc.value.steps == tuple(eng.steps)
+        assert [s.tag for s in exc.value.steps] == ["Base"]
+
+    @pytest.mark.parametrize(
+        "comps, a, b, message",
+        [
+            ((), 3, 6, " split into 1 pieces, expected 2"),
+            (((3, 4, 5), (6, 7), (9,)), 3, 6, " split into 3 pieces, expected 2"),
+            (((3, 4, 5), (6, 7)), 3, 5, ": 3 and 5 stayed in one piece"),
+            (((0, 1, 2), (6, 7)), 6, 0, ": triangle piece beside 6 or 0"),
+        ],
+    )
+    def test_two_sides_rejects_what_no_cut_makes(self, comps, a, b, message):
+        eng = self.engine()
+        self.fails(eng, self.WHAT + message, eng.two_sides, comps, a, b, self.WHAT)
+
+    def test_two_sides_orders_the_sides_by_its_vertices(self):
+        eng = self.engine()
+        comps = ((3, 4, 5), (6, 7))
+        assert eng.two_sides(comps, 7, 4, self.WHAT) == ((6, 7), (3, 4, 5))
+        assert eng.two_sides(comps, 4, 7, self.WHAT) == comps
+
+    @pytest.mark.parametrize("items, found", [([], "[]"), ({5, 3}, "[3, 5]")])
+    def test_only_rejects_none_or_many(self, items, found):
+        eng = self.engine()
+        message = f"{self.WHAT}: found {found}, expected exactly one"
+        self.fails(eng, message, eng.only, items, self.WHAT)
+        assert eng.only({4}, self.WHAT) == 4
+
+    def test_deg3_first_needs_two_vertices_one_of_degree_3(self):
+        eng = self.engine()
+        assert eng.deg3_first({2, 8}, self.WHAT) == (2, 8)
+        assert eng.deg3_first({7, 8}, self.WHAT) == (8, 7)
+        message = f"{self.WHAT}: found [3, 4, 5], expected two"
+        self.fails(eng, message, eng.deg3_first, {3, 4, 5}, self.WHAT)
+        message = f"{self.WHAT}: neither 0 nor 1 has degree 3"
+        self.fails(eng, message, eng.deg3_first, {1, 0}, self.WHAT)
+
+    def test_reattach_checks_every_pair_before_deleting(self):
+        eng = self.engine()
+        eng.w.open(range(11))
+        self.fails(eng, "reattach edge (5, 3) missing", eng.reattach, [(4, 3), (5, 3)])
+        assert eng.w.has_edge(3, 4)  # a failed check deletes nothing
+        assert eng.reattach([(4, 3), (5, 4)]) == [(3, 4), (4, 5)]
+        assert not eng.w.has_edge(3, 4) and not eng.w.has_edge(4, 5)
+
+
 class TestWorkStack:
     def test_runs_within_the_callers_recursion_limit(self, monkeypatch):
         g = generate(GenSpec(n=3000, seed=0))

@@ -1,10 +1,13 @@
+import ast
 import hashlib
+import pathlib
 import random
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+import gallai.verify
 from gallai.decompose import decompose
 from gallai.generate import GenSpec, dense_instance, generate
 from gallai.graph import Graph, Path
@@ -206,6 +209,46 @@ class TestMatchesReference:
                 assert rep == reference_report(g, d), (g, name)
                 kinds.update(f.kind for f in rep.failures)
         assert kinds == set(FAILURE_KINDS)
+
+
+def package_imports(source):
+    """Every module of the gallai package that the source imports, at any
+    depth of its syntax tree."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.split(".")[0] == "gallai")
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:  # relative: a sibling module of the package
+                base = "gallai" if node.module is None else f"gallai.{node.module}"
+            elif (node.module or "").split(".")[0] == "gallai":
+                base = node.module
+            else:
+                continue
+            if node.module is None:  # `from . import x` imports the module x
+                found.update(f"{base}.{a.name}" for a in node.names)
+            else:
+                found.add(base)
+    return found
+
+
+class TestIndependence:
+    def test_verifier_imports_nothing_of_the_package_but_the_graph(self):
+        # the verifier must share no code with the decomposer it checks
+        source = pathlib.Path(gallai.verify.__file__).read_text()
+        assert package_imports(source) == {"gallai.graph"}
+
+    def test_the_import_scan_sees_every_form(self):
+        source = (
+            "import gallai.decompose\n"
+            "from gallai.cli import main\n"
+            "from . import generate\n"
+            "def f():\n    from .graph import Graph\n"
+            "import json\n"
+        )
+        assert package_imports(source) == {
+            "gallai.decompose", "gallai.cli", "gallai.generate", "gallai.graph"
+        }
 
 
 class TestOddLowerBound:
