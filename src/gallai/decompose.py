@@ -587,7 +587,9 @@ class _Engine:
                     raise self.fail(f"{len(out) - start} paths exceed floor({n}/2)")
         except (NoIntersectingPath, GeometryMismatch) as exc:
             raise self.fail(f"cycle merge: {exc}") from exc
-        except (GraphError, ValueError) as exc:  # a failed search or Path/Cycle/TraceStep check
+        # a failed search or Path/Cycle/TraceStep check, or a fault that reads
+        # or deletes what is not there (an InternalInvariantViolation is none)
+        except (GraphError, ValueError, LookupError, AttributeError) as exc:
             raise self.fail(f"{type(exc).__name__}: {exc}") from exc
         return out
 

@@ -105,18 +105,8 @@ class GenSpec(Record):
 _P_SKIP = 0.2
 
 
-def generate(spec: GenSpec) -> Graph:
-    """A seeded 2-degenerate graph on spec.n vertices.
-
-    With connect=True every vertex after the first gets at least one
-    back-edge, so the result is connected.
-
-    Vertex v draws its k <= 2 back-edges through `rng.randrange`, making
-    exactly the draws, in the same order, that `sorted(rng.sample(range(v),
-    k))` makes, so each seed gives the graph that sampling gave. The edges go
-    straight into neighbour sets as they are drawn, and the graph is built
-    from those sets without `from_edges`' checks, which no draw can fail.
-    """
+def _draw(spec: GenSpec) -> list[set[int]]:
+    """`generate`'s graph as the neighbour sets its draws fill in."""
     rng = random.Random(spec.seed)
     rand, randrange = rng.random, rng.randrange
     p2, skip = spec.p2, not spec.connect
@@ -146,6 +136,23 @@ def generate(spec: GenSpec) -> Graph:
         nbrs[a].add(v)
         nbrs[b].add(v)
         nbrs[v].update((a, b))
+    return nbrs
+
+
+def generate(spec: GenSpec) -> Graph:
+    """A seeded 2-degenerate graph on spec.n vertices.
+
+    With connect=True every vertex after the first gets at least one
+    back-edge, so the result is connected.
+
+    Vertex v draws its k <= 2 back-edges through `rng.randrange`, making
+    exactly the draws, in the same order, that `sorted(rng.sample(range(v),
+    k))` makes, so each seed gives the graph that sampling gave. The edges go
+    straight into neighbour sets as they are drawn (`_draw`), and the graph
+    is built from those sets without `from_edges`' checks, which no draw can
+    fail.
+    """
+    nbrs = _draw(spec)
     return Graph.from_neighbor_sets(nbrs, sum(map(len, nbrs)) // 2)
 
 
@@ -209,10 +216,10 @@ def densify(g: Graph, seed: int, max_rounds: int | None = None) -> Graph:
     without breaking 2-degeneracy are left alone, so the result is best
     effort (tiny graphs such as a bare path on 3 vertices stay as they are).
 
-    The working graph is one list of neighbour sets: a candidate edge joins
-    them in place, one `is_two_degenerate` peel over the sets checks it, and
-    a failed one is taken out again. The result is built from the sets once,
-    or is g itself when no edge was added.
+    The rounds (`_raise_lows`) work on one list of neighbour sets: a
+    candidate edge joins them in place, one `is_two_degenerate` peel over
+    the sets checks it, and a failed one is taken out again. The result is
+    built from the sets once, or is g itself when no edge was added.
 
     One low vertex, the survivor, is never touched; the rest get new edges
     one at a time. Endpoints that are themselves low come first, so one edge
@@ -227,24 +234,39 @@ def densify(g: Graph, seed: int, max_rounds: int | None = None) -> Graph:
     vertex until the last two, which share at most 1. Edges only join those
     k vertices, so from then on every candidate would fail and no round
     could change the graph; the stop skips only rng draws that no output
-    depends on.
+    depends on. `_block`'s attempts run the same rounds with one more stop,
+    the budget stop described there; densify itself always runs to the end.
     """
-    rng = random.Random(seed)
-    # the working graph and its degrees, updated on each accepted edge;
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    cap = max_rounds if max_rounds is not None else 4 * g.n + 20
+    m, _lows = _raise_lows(nbrs, g.m, random.Random(seed), cap)
+    return g if m == g.m else Graph.from_neighbor_sets(nbrs, m)
+
+
+def _raise_lows(
+    nbrs: list[set[int]], m: int, rng: random.Random, cap: int, budget: bool = False
+) -> tuple[int, list[int]] | None:
+    """`densify`'s rounds on the neighbour sets nbrs (m edges), edited in
+    place; returns the final edge count and the low vertices, in id order.
+
+    With budget, returns None at the start of a round in which the 2k - 3
+    edge budget (see `densify`) rules out ending with exactly one low vertex,
+    of degree 2 (see `_block`).
+    """
     # degrees only grow, so the live vertices stay the same and a vertex
     # leaves `lows` for good once it reaches degree 3
-    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
     deg = [len(s) for s in nbrs]
-    m = g.m
-    live = [v for v in range(g.n) if deg[v]]
+    live = [v for v, d in enumerate(deg) if d]
     lows = [v for v in live if deg[v] <= 2]
+    most = 2 * len(live) - 3
     unfixable: set[int] = set()
     rounds = 0
-    cap = max_rounds if max_rounds is not None else 4 * g.n + 20
     while rounds < cap:
         rounds += 1
-        if len(lows) <= 1 or m == 2 * len(live) - 3:
+        if len(lows) <= 1 or m == most:
             break
+        if budget and 2 * (most - m) < sum(3 - deg[w] for w in lows) - 1:
+            return None
         survivor = min(lows, key=lambda v: (v not in unfixable, deg[v], v))
         todo = [v for v in lows if v != survivor and v not in unfixable]
         if not todo:
@@ -276,7 +298,7 @@ def densify(g: Graph, seed: int, max_rounds: int | None = None) -> Graph:
             near.remove(u)
         else:
             unfixable.add(v)
-    return g if m == g.m else Graph.from_neighbor_sets(nbrs, m)
+    return m, lows
 
 
 # -- structured dense instances ---------------------------------------------
@@ -317,13 +339,30 @@ def _block(n: int, seed: int, p2: float) -> tuple[Graph, int]:
     come first for variety; the deterministic strip stands in when none of
     them ends clean (full density is a narrow target). Returns (graph, its
     low vertex); requires n >= 5, below which no such graph exists.
+
+    Attempt j is `densify(generate(spec), s)` with s = seed + 1000003j, run
+    on the neighbour sets that `generate` draws and judged on them: a `Graph`
+    is built only for an attempt left with one low vertex, of degree 2, to
+    test that vertex with `is_cut_vertex`. Most attempts fail, and the
+    budget stop drops many of them early: an attempt is abandoned at the
+    start of a round where 2(2k - 3 - m) < sum(3 - deg w for w low) - 1,
+    k the live vertices and m the edges. No attempt it drops could succeed:
+    - degrees only rise, so the final low vertices are among the current ones;
+    - all of them but one must reach degree 3 and that one exactly 2, and
+      each added edge adds 2 to the degree total;
+    - no 2-degenerate graph on k non-isolated vertices has over 2k - 3 edges.
     """
-    for k in range(8):
-        s = seed + 1000003 * k
-        g = densify(generate(GenSpec(n=n, seed=s, connect=True, p2=p2)), seed=s)
-        lows = sorted(g.low_vertices())
-        if len(lows) != 1 or g.degree(lows[0]) != 2:
+    for j in range(8):
+        s = seed + 1000003 * j
+        nbrs = _draw(GenSpec(n=n, seed=s, connect=True, p2=p2))
+        m = sum(map(len, nbrs)) // 2
+        done = _raise_lows(nbrs, m, random.Random(s), 4 * n + 20, budget=True)
+        if done is None:
             continue
+        m, lows = done
+        if len(lows) != 1 or len(nbrs[lows[0]]) != 2:
+            continue
+        g = Graph.from_neighbor_sets(nbrs, m)
         if is_cut_vertex(g, lows[0]):
             continue
         return g, lows[0]

@@ -20,7 +20,7 @@ from gallai.decompose import (
     TraceStep,
     _Engine,
 )
-from gallai.generate import family, generate
+from gallai.generate import dense_instance, family, generate
 from gallai.graph import MAX_VERTICES, NoPath, format_edge_list, parse_edge_list
 
 try:
@@ -603,6 +603,78 @@ class TestErrorBoundary:
             "Claim3: degree-2 articulation 12: triangle piece beside 2 or 7"
         )
         assert json.loads(trace) == steps[:2]
+
+    # Claim4 reattaches before it logs its step, Claim3 after
+    @pytest.mark.parametrize(
+        "text,key,logged",
+        [(format_edge_list(family("fig4b")), 3, 0), (CUT_AT_12, 12, 3)],
+        ids=("fig4b", "cut-at-12"),
+    )
+    def test_engine_lookup_fault_exits_five_with_trace(
+        self, graph_file, capsys, monkeypatch, text, key, logged
+    ):
+        # a fault that deletes the reattached edges twice makes the working
+        # graph raise a bare KeyError, which leaves as exit 5, not a traceback
+        src = graph_file(text)
+        assert main(["decompose", src, "--json", "--trace"]) == 0
+        steps = json.loads(capsys.readouterr().out)["trace"]
+        real = _Engine.reattach
+
+        def twice(self, pairs):
+            edges = real(self, pairs)
+            self.w.delete(edges)
+            return edges
+
+        monkeypatch.setattr(_Engine, "reattach", twice)
+        assert main(["decompose", src]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason, trace = captured.err.splitlines()
+        assert reason == f"error: internal invariant violated: KeyError: {key}"
+        assert json.loads(trace) == steps[:logged]
+
+    def test_engine_attribute_fault_exits_five_with_trace(self, graph_file, capsys, monkeypatch):
+        real_plan = _Engine.plan
+
+        def plan(self, p):
+            if self.steps:
+                raise AttributeError("forced")
+            return real_plan(self, p)
+
+        monkeypatch.setattr(_Engine, "plan", plan)
+        assert main(["decompose", graph_file(FAR_PAIR)]) == 5
+        captured = capsys.readouterr()
+        reason, trace = captured.err.splitlines()
+        assert reason == "error: internal invariant violated: AttributeError: forced"
+        assert [s["tag"] for s in json.loads(trace)] == ["ComponentSplit"]
+
+    def test_fuzz_trial_lookup_fault_is_a_recorded_failure(self, monkeypatch):
+        # the seed families run clean; dense trials 0 and 1 reattach, 2 does not
+        trials = []
+        real_dense, real_reattach = dense_instance, _Engine.reattach
+
+        def traced_dense(seed, max_n, p2=None):
+            trials.append(seed)
+            return real_dense(seed, max_n=max_n, p2=p2)
+
+        def twice(self, pairs):
+            edges = real_reattach(self, pairs)
+            if trials:
+                self.w.delete(edges)
+            return edges
+
+        monkeypatch.setattr("gallai.cli.dense_instance", traced_dense)
+        monkeypatch.setattr(_Engine, "reattach", twice)
+        report = run_fuzz(3, max_n=48, seed=0, densify=True)
+        assert trials == [0, 1, 2]
+        assert report.failures == [
+            {
+                "seed": s,
+                "spec": f"--trials 1 --max-n 48 --seed {s} --densify",
+                "kind": "InternalInvariantViolation",
+            }
+            for s in (0, 1)
+        ]
 
     def test_fuzz_trial_fault_is_a_recorded_failure(self, capsys, monkeypatch):
         # only trial graphs come from `generate`; the seed families from `family`

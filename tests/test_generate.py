@@ -13,7 +13,9 @@ from gallai.generate import (
     UnknownFamily,
     _block,
     _capped_strip,
+    _draw,
     _hang,
+    _raise_lows,
     _splice,
     dense_instance,
     densify,
@@ -90,6 +92,36 @@ def sampled_edges(spec):
         for u in sorted(rng.sample(range(v), k)):
             edges.append((u, v))
     return edges
+
+
+def block_attempts(n, seed, p2):
+    """The attempts `_block(n, seed, p2)` makes, each run in full with
+    `densify`, up to the first that succeeds: (spec, densify seed, the
+    densified graph, whether it succeeds)."""
+    for k in range(8):
+        s = seed + 1000003 * k
+        spec = GenSpec(n=n, seed=s, connect=True, p2=p2)
+        g = densify(generate(spec), seed=s)
+        low = sorted(g.low_vertices())
+        ok = len(low) == 1 and g.degree(low[0]) == 2 and not is_cut_vertex(g, low[0])
+        yield spec, s, g, ok
+        if ok:
+            return
+
+
+def reference_block(n, seed, p2):
+    """`_block` as it was before its attempts ran on neighbour sets: eight
+    full `densify` runs on `generate` graphs, each judged on a `Graph`."""
+    for _spec, _s, g, ok in block_attempts(n, seed, p2):
+        if ok:
+            return g, min(g.low_vertices())
+    return _capped_strip(n), 0
+
+
+# (n, seed, p2) for the blocks `dense_instance` builds
+BLOCK_CASES = [
+    (n, s, p) for n in range(5, 16) for p in (0.4, 0.6, 0.8, 0.95) for s in range(60)
+]
 
 
 def dense_kind(seed):
@@ -295,6 +327,16 @@ class TestDensify:
                 edges = seen
         assert edges == set(d.edges())
 
+        # the dense instances' blocks check their candidates the same way,
+        # and the budget stop leaves them fewer checks than full densify runs
+        checked.clear()
+        dense = [dense_instance(s, max_n) for s, max_n in DENSE_CASES]
+        fast = len(checked)
+        checked.clear()
+        monkeypatch.setattr(gen, "_block", reference_block)
+        assert [dense_instance(s, max_n) for s, max_n in DENSE_CASES] == dense
+        assert 0 < fast < len(checked)
+
     @pytest.mark.parametrize("n", [5, 6, 9, 30])
     def test_stops_at_the_edge_bound(self, n, monkeypatch):
         # the stacked-triangle strip has 2n - 3 edges, the most a
@@ -336,6 +378,29 @@ class TestDenseBuildingBlocks:
         assert is_two_degenerate(g) and is_connected(g)
         assert lows(g) == [low] and g.degree(low) == 2
         assert not is_cut_vertex(g, low)
+
+    def test_block_matches_reference(self):
+        for case in BLOCK_CASES:
+            assert _block(*case) == reference_block(*case), case
+
+    def test_budget_stop_drops_only_attempts_that_fail(self):
+        # an attempt the stop abandons would not have ended with one low
+        # vertex of degree 2; one it keeps ends as the full densify run does
+        dropped = kept = 0
+        for n, seed, p2 in BLOCK_CASES:
+            for spec, s, g, ok in block_attempts(n, seed, p2):
+                nbrs = _draw(spec)
+                m = sum(map(len, nbrs)) // 2
+                done = _raise_lows(nbrs, m, random.Random(s), 4 * n + 20, budget=True)
+                if done is None:
+                    dropped += 1
+                    assert not ok
+                    assert len(lows(g)) != 1 or g.degree(lows(g)[0]) != 2, (spec, s)
+                else:
+                    kept += 1
+                    assert Graph.from_neighbor_sets(nbrs, done[0]) == g
+                    assert done[1] == lows(g)
+        assert dropped > 1000 and kept > 1000
 
     def test_splice_makes_connector_the_low(self):
         a = _block(5, 0, 0.8)
