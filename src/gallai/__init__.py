@@ -27,7 +27,6 @@ from .decompose import (
     decompose,
     format_decomposition,
     merge_cycle_with_triangle,
-    parse_decomposition,
 )
 from .generate import (
     FAMILIES,
@@ -67,6 +66,7 @@ from .verify import (
     VerificationReport,
     minimum_decomposition,
     odd_degree_lower_bound,
+    parse_decomposition,
     verify_decomposition,
 )
 

@@ -26,11 +26,10 @@ from .decompose import (
     InternalInvariantViolation,
     decompose,
     format_decomposition,
-    parse_decomposition,
 )
 from .generate import FAMILIES, GenSpec, dense_instance, family, generate
 from .graph import MAX_VERTICES, GraphError, Record, format_edge_list, parse_edge_list
-from .verify import TooLarge, minimum_decomposition, verify_decomposition
+from .verify import TooLarge, minimum_decomposition, parse_decomposition, verify_decomposition
 
 # family fixtures that pre-seed the fuzz histogram, at canonical sizes
 _SEED_FAMILIES = (

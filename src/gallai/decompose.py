@@ -44,7 +44,6 @@ from .graph import (
     is_cut_vertex,
     is_two_degenerate,
     norm_edge,
-    parse_digits,
     shortest_path,
     split_off,
     triangle_components,
@@ -126,16 +125,47 @@ class TraceStep(Record):
         }
 
 
-class ReductionTrace(Record):
-    """Ordered record of every branch the decomposition took."""
+def _record(rows: list[tuple], tag: str, vertices: dict[str, int], n: int, m: int, detail) -> None:
+    """Append a trace row, a TraceStep's fields in order, checking its tag
+    now; the step itself is built only when the trace is read."""
+    if tag not in BRANCH_TAGS:
+        raise ValueError(f"unknown branch tag {tag!r}")
+    rows.append((tag, vertices, n, m, detail))
+
+
+def _steps(rows: Iterable[tuple]) -> tuple[TraceStep, ...]:
+    return tuple(TraceStep(*row) for row in rows)
+
+
+class _TraceRows(Record):
+    """A trace's rows, kept apart from the fields `==` and `repr` go by."""
+
+    __slots__ = ("_rows",)
+
+
+class ReductionTrace(_TraceRows):
+    """Ordered record of every branch the decomposition took.
+
+    `decompose` hands it the engine's rows; `steps` builds their TraceSteps
+    on first read, and `histogram` counts the rows' tags without them.
+    """
 
     __slots__ = ("steps",)
 
     def __init__(self, steps: tuple[TraceStep, ...]):
         self._init(steps)
+        object.__setattr__(self, "_rows", [s._values() for s in steps])
+
+    def __getattr__(self, name: str):
+        # reached only while the `steps` slot is unset
+        if name != "steps":
+            raise AttributeError(name)
+        steps = _steps(self._rows)
+        object.__setattr__(self, "steps", steps)
+        return steps
 
     def histogram(self) -> dict[str, int]:
-        return dict(Counter(s.tag for s in self.steps))
+        return dict(Counter(row[0] for row in self._rows))
 
     def to_json(self) -> list[dict]:
         return [s.to_json() for s in self.steps]
@@ -204,10 +234,6 @@ class _Piece:
         self.heap: list[tuple[int, ...]] = []
 
     @property
-    def count(self) -> int:
-        return len(self.verts)
-
-    @property
     def size(self) -> tuple[int, int]:
         """(non-isolated vertices, edges), as a trace step records them."""
         return len(self.verts), self.m
@@ -229,19 +255,21 @@ class _WorkingGraph:
       here that search (`split_off`) runs only once a repair has taken
       `_REPAIR_BUDGET` scans. Alone it would pay at every removal for the
       balls around the removed edges that a detour joins, which grow with n
-      on random sparse graphs, whose short cycles are about log n long.
+      on random sparse graphs, whose short cycles are about log n long. A
+      deletion queues an endpoint whose tree edge goes only if it keeps one.
     - The closest-pair buckets. Every vertex w keeps `low1[w]` and `low2[w]`,
       its two least neighbours of degree 1 or 2 (n when missing). Edges only
       ever disappear, so a vertex turns low once, when its degree drops to
       2, and stays low until it is isolated. Each deletion records its
-      endpoints, and `flush` brings the buckets up to date from them and
-      from the neighbours of the vertices that turned low.
+      endpoints, and `flush` rescans them and the neighbours of the
+      vertices that turned low in one pass, then witnesses, in a second,
+      the vertices whose buckets changed.
     """
 
     def __init__(self, g: Graph):
         n = g.n
         # each slot shares g's frozenset until the vertex first loses an edge
-        self.adj: list = list(map(g.neighbors, range(n)))
+        self.adj: list = list(g._adj)
         self.owner: list[_Piece | None] = [None] * n
         self.level = [0] * n
         self.parent = [-1] * n
@@ -265,8 +293,7 @@ class _WorkingGraph:
 
     def open(self, vertices: Sequence[int]) -> _Piece:
         """The piece of one component of the host, made editable."""
-        for v in vertices:
-            self.low1[v], self.low2[v] = self._least_low(v)
+        self._rescan(vertices)
         return self._fill(_Piece(), vertices)
 
     def _fill(self, p: _Piece, vertices: Iterable[int]) -> _Piece:
@@ -285,9 +312,9 @@ class _WorkingGraph:
             if len(nbrs) <= 2:
                 p.low.add(v)
                 h.extend((1, v, b) for b in nbrs if b > v and len(adj[b]) <= 2)
-            # an edge between two vertices with one low neighbour each gets
-            # an entry from both ends; the second is harmless
-            self._witness(v, h)
+        # an edge between two vertices with one low neighbour each gets an
+        # entry from both ends; the second is harmless
+        self._witness(p.verts, h)
         p.m += ends // 2
         heapq.heapify(h)
         p.heap = h
@@ -334,28 +361,28 @@ class _WorkingGraph:
 
     def delete(self, edges: Iterable[Edge]) -> None:
         adj, owner, parent, level = self.adj, self.owner, self.parent, self.level
+        orphans, entered = self.orphans, self.entered
         for a, b in edges:
             p = owner[a]
             p.m -= 1
-            if parent[a] == b:
-                heapq.heappush(self.orphans, (level[a], a))
-            elif parent[b] == a:
-                heapq.heappush(self.orphans, (level[b], b))
             for u, x in ((a, b), (b, a)):
                 nbrs = adj[u]
                 if nbrs.__class__ is frozenset:
                     nbrs = adj[u] = set(nbrs)
                 nbrs.remove(x)
                 d = len(nbrs)
-                if d == 2:
-                    p.low.add(u)
-                    self.entered.append(u)
-                elif not d:
+                if not d:
                     # frees the vertex's own set, and its piece with its last vertex
                     adj[u] = _NO_EDGES
                     owner[u] = None
                     p.low.discard(u)
                     p.verts.discard(u)
+                    continue  # and stays isolated, so needs no re-hanging
+                if d == 2:
+                    p.low.add(u)
+                    entered.append(u)
+                if parent[u] == x:
+                    heapq.heappush(orphans, (level[u], u))
             self.dirty += (a, b)
 
     # -- the breadth-first trees -----------------------------------------------
@@ -434,76 +461,65 @@ class _WorkingGraph:
         if p.root not in p.verts or not self.repair(p, 2 * p.m):
             self.plant(p)
 
-    def _least_low(self, w: int) -> tuple[int, int]:
-        adj = self.adj
-        m1 = m2 = self.none
-        for x in adj[w]:
-            if x < m2 and len(adj[x]) <= 2:
-                if x < m1:
-                    m1, m2 = x, m1
-                else:
-                    m2 = x
-        return m1, m2
-
     def flush(self) -> None:
         """Push the bucket entries that the deletions since the last flush
         created: a new low-low edge, and every vertex whose least low
-        neighbours changed."""
+        neighbours changed, witnessed once all of them are rescanned."""
         if not self.dirty:
             return
-        adj, owner, low1, low2, none = self.adj, self.owner, self.low1, self.low2, self.none
+        adj, owner = self.adj, self.owner
         touched = set(self.dirty)
         for c in self.entered:
-            if not adj[c]:
+            nbrs = adj[c]
+            if not nbrs:
                 continue
-            for b in adj[c]:
-                touched.add(b)
+            touched.update(nbrs)
+            for b in nbrs:
                 if len(adj[b]) <= 2:
                     heapq.heappush(owner[c].heap, (1, c, b) if c < b else (1, b, c))
         self.dirty.clear()
         self.entered.clear()
         fresh: list[tuple[int, ...]] = []
-        for w in touched:
-            m1, m2 = self._least_low(w) if adj[w] else (none, none)
-            if m1 == low1[w] and m2 == low2[w]:
-                continue
-            low1[w], low2[w] = m1, m2
-            self._witness(w, fresh)
+        self._witness(self._rescan(touched), fresh)
         for e in fresh:
             heapq.heappush(owner[e[3]].heap, e)
 
     # -- the closest-pair index ----------------------------------------------
 
-    def _witness(self, w: int, out: list[tuple[int, ...]]) -> None:
-        """Append the entries at distance 2 or 3 that w's least low
-        neighbours, low1[w] and low2[w], make, each with w fourth."""
-        low1, low2, none = self.low1, self.low2, self.none
-        a = low1[w]
-        if low2[w] < none:
-            out.append((2, a, low2[w], w))
-        elif a < none:
-            # w has just one low neighbour: distance 3 needs its edges to
-            # the other vertices with just one
-            for b in self.adj[w]:
-                c = low1[b]
-                if c < none and low2[b] == none and c != a:
-                    out.append((3, a, c, w, b) if a < c else (3, c, a, w, b))
+    def _rescan(self, ws: Iterable[int]) -> list[int]:
+        """Set low1[w] and low2[w] of each w in ws afresh, by one scan of its
+        neighbours; returns the vertices whose values changed."""
+        adj, low1, low2, none = self.adj, self.low1, self.low2, self.none
+        changed = []
+        for w in ws:
+            m1 = m2 = none
+            for x in adj[w]:
+                if x < m2 and len(adj[x]) <= 2:
+                    if x < m1:
+                        m1, m2 = x, m1
+                    else:
+                        m2 = x
+            if m1 != low1[w] or m2 != low2[w]:
+                low1[w] = m1
+                low2[w] = m2
+                changed.append(w)
+        return changed
 
-    def _live(self, p: _Piece, e: tuple[int, ...]) -> bool:
-        adj = self.adj
-        k = e[0]
-        if k == 1:
-            # both ends were low when pushed, and stay low while they touch
-            _, a, b = e
-            return self.owner[a] is p and b in adj[a]
-        if k == 2:
-            _, l1, l2, w = e
-            return self.owner[w] is p and self.low1[w] == l1 and self.low2[w] == l2
-        _, lo, hi, a, b = e
-        if self.owner[a] is not p or b not in adj[a]:
-            return False
-        x, y = self.low1[a], self.low1[b]
-        return (x, y) == (lo, hi) or (y, x) == (lo, hi)
+    def _witness(self, ws: Iterable[int], out: list[tuple[int, ...]]) -> None:
+        """Append the entries at distance 2 or 3 that the least low
+        neighbours of each w in ws, low1[w] and low2[w], make, w fourth."""
+        adj, low1, low2, none = self.adj, self.low1, self.low2, self.none
+        for w in ws:
+            a = low1[w]
+            if low2[w] < none:
+                out.append((2, a, low2[w], w))
+            elif a < none:
+                # w has just one low neighbour: distance 3 needs its edges to
+                # the other vertices with just one
+                for b in adj[w]:
+                    c = low1[b]
+                    if c < none and low2[b] == none and c != a:
+                        out.append((3, a, c, w, b) if a < c else (3, c, a, w, b))
 
     def closest(self, p: _Piece) -> tuple[int, int, int] | None:
         """The closest pair of p's low vertices as (u, v, distance), ties by
@@ -523,12 +539,24 @@ class _WorkingGraph:
         """
         self.flush()
         h = p.heap
-        while h and not self._live(p, h[0]):
+        adj, owner, low1, low2 = self.adj, self.owner, self.low1, self.low2
+        while h:
+            e = h[0]
+            k = e[0]
+            if k == 1:
+                # both ends were low when pushed, and stay low while they touch
+                if owner[e[1]] is p and e[2] in adj[e[1]]:
+                    return e[1], e[2], 1
+            elif k == 2:
+                w = e[3]
+                if owner[w] is p and low1[w] == e[1] and low2[w] == e[2]:
+                    return e[1], e[2], 2
+            else:
+                a, b = e[3], e[4]
+                if owner[a] is p and b in adj[a] and {low1[a], low1[b]} == {e[1], e[2]}:
+                    return e[1], e[2], 3
             heapq.heappop(h)
-        if not h:
-            return None
-        e = h[0]
-        return e[1], e[2], e[0]
+        return None
 
 
 class _Engine:
@@ -541,14 +569,14 @@ class _Engine:
     """
 
     def __init__(self, g: Graph):
-        self.steps: list[TraceStep] = []
+        self.steps: list[tuple] = []  # trace rows, see `_record`
         self.w = _WorkingGraph(g)
 
     def fail(self, msg: str) -> InternalInvariantViolation:
-        return InternalInvariantViolation(msg, self.steps)
+        return InternalInvariantViolation(msg, _steps(self.steps))
 
     def step(self, tag: str, size: tuple[int, int], vertices: dict[str, int], **detail) -> None:
-        self.steps.append(TraceStep(tag, vertices, size[0], size[1], detail))
+        _record(self.steps, tag, vertices, size[0], size[1], detail)
 
     def solve(self, piece: _Piece) -> list[Path]:
         """Decompose one connected non-triangle piece, depth first.
@@ -567,22 +595,22 @@ class _Engine:
             while work:
                 item = work.pop()
                 if isinstance(item, _Piece):
-                    if item.m == 3 and item.count == 3:
+                    n = len(item.verts)
+                    if item.m == 3 and n == 3:
                         tri = tuple(sorted(item.low))
                         raise self.fail(f"unexpected triangle component {tri}")
-                    n = item.count
                     pieces, finish = self.plan(item)
-                    work.append((len(out), n, *finish))
+                    work.append((len(out), n) + finish)
                     work.extend(reversed(pieces))
                     continue
-                start, n, pairs, merge, tris, *paths = item
+                start, n, pairs, merge, tris = item[:5]
                 if pairs:
                     self.extend(out, start, pairs)
                 if merge is not None:
                     cyc, u, v, size = merge
                     into = _merge_cycle(cyc, out, start, u, v)
                     self.step("Subclaim1-Merge", size, {"u": u, "v": v}, cycle=cyc.ring, into=into)
-                out.extend(_absorb(paths[0], tris, self.steps) if tris else paths)
+                out.extend(_absorb(item[5], tris, self.steps) if tris else item[5:])
                 if len(out) - start > n // 2:
                     raise self.fail(f"{len(out) - start} paths exceed floor({n}/2)")
         except (NoIntersectingPath, GeometryMismatch) as exc:
@@ -605,7 +633,7 @@ class _Engine:
             self.step("Base", p.size, {"u": u, "v": v})
             g.delete([(u, v)])
             return (), ((), None, (), Path((u, v)))
-        if p.count == 3:
+        if len(p.verts) == 3:
             # a connected view on 3 vertices has them all low
             low = sorted(p.low)
             mid = next(v for v in low if g.degree(v) == 2)
@@ -742,23 +770,24 @@ class _Engine:
         """
         g = self.w
         size = p.size
-        removed = carrier_edges = set(carrier.edges())
-        touched = list(carrier.vertices)
+        touched = carrier.vertices
+        removed = edges = [(a, b) if a < b else (b, a) for a, b in zip(touched, touched[1:])]
         if reattach:
             pre_removed = self.reattach(reattach)
-            removed = carrier_edges.union(pre_removed)
+            removed = edges + pre_removed
             pre_ends = [w for e in pre_removed for w in e]
             if triangle_components(g, near=pre_ends):
                 raise self.fail(f"{tag}: edge removal exposed a triangle component")
-            touched = pre_ends + touched
-        g.delete(carrier_edges)
+            touched = pre_ends + list(touched)
+        g.delete(edges)
+        removed.sort()
         tris = tuple(triangle_components(g, near=touched))
         self.step(
             tag,
             size,
             vertices,
             carrier=carrier.vertices,
-            removed=tuple(sorted(removed)),
+            removed=tuple(removed),
             triangles=tris,
             reattach=reattach,
             **detail,
@@ -1084,14 +1113,14 @@ def _triangle_edges(t: Sequence[int]) -> list[Edge]:
 
 
 def _absorb(
-    p: Path, triangles: Sequence[tuple[int, ...]], steps: list[TraceStep]
+    p: Path, triangles: Sequence[tuple[int, ...]], steps: list[tuple]
 ) -> list[Path]:
     """Fold j triangle components into the carrier path: j+1 paths out.
 
     Walks the carrier from its first vertex; the triangle contacted
     earliest is split off into a path Q while the rest of the carrier is
     rethreaded into a path R that still visits every later contact point,
-    then the walk goes on along R. Each fold is logged in `steps`.
+    then the walk goes on along R. Each fold is logged in the rows `steps`.
     """
     out: list[Path] = []
     while triangles:
@@ -1101,7 +1130,7 @@ def _absorb(
             hits = sorted(pos[v] for v in t if v in pos)
             if not hits:
                 raise InternalInvariantViolation(
-                    f"triangle {t} never touches the carrier", steps
+                    f"triangle {t} never touches the carrier", _steps(steps)
                 )
             contact.append((hits[0], hits, t))
         contact.sort()
@@ -1132,14 +1161,13 @@ def _absorb(
             bound = {"x": x, "y": y, "z": z}
 
         scope = set(verts).union(*(set(t) for t in triangles))
-        steps.append(
-            TraceStep(
-                tag=tag,
-                vertices=bound,
-                n=len(scope),
-                m=(len(verts) - 1) + len(triangles) * 3,
-                detail={"triangle": tri, "carrier": verts, "q": q.vertices, "r": r.vertices},
-            )
+        _record(
+            steps,
+            tag,
+            bound,
+            len(scope),
+            (len(verts) - 1) + len(triangles) * 3,
+            {"triangle": tri, "carrier": verts, "q": q.vertices, "r": r.vertices},
         )
         out.append(q)
         p = r
@@ -1245,7 +1273,9 @@ def decompose(g: Graph) -> tuple[Decomposition, ReductionTrace, bool]:
             paths.extend(eng.solve(eng.w.open(c.vertices)))
     claimed = n // 2 if met else per_component
     dec = Decomposition(paths=tuple(paths), claimed_bound=claimed, bound_met=met)
-    return dec, ReductionTrace(tuple(eng.steps)), met
+    trace = ReductionTrace.__new__(ReductionTrace)  # steps unset till read
+    object.__setattr__(trace, "_rows", eng.steps)
+    return dec, trace, met
 
 
 def absorb_triangles(
@@ -1317,30 +1347,3 @@ def format_decomposition(d: Decomposition) -> str:
     ]
     lines.extend(" ".join(str(v) for v in p.vertices) for p in d.paths)
     return "\n".join(lines) + "\n"
-
-
-def parse_decomposition(text: str) -> tuple[list[tuple[int, ...]], int, bool]:
-    """Parse the text format back into (paths, claimed_bound, met)."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty decomposition file")
-    head = lines[0].split()
-    if len(head) != 6 or head[0] != "paths" or head[2] != "bound" or head[4] != "met":
-        raise ValueError(f"bad header {lines[0]!r}")
-    try:
-        count, bound = parse_digits(head[1]), parse_digits(head[3])
-    except ValueError:
-        raise ValueError(f"bad header numbers in {lines[0]!r}") from None
-    if head[5] not in ("true", "false"):
-        raise ValueError(f"bad met flag {head[5]!r}")
-    met = head[5] == "true"
-    paths: list[tuple[int, ...]] = []
-    for ln in lines[1:]:
-        try:
-            paths.append(tuple(map(parse_digits, ln.split())))
-        except ValueError:
-            raise ValueError(f"bad path line {ln!r}") from None
-    if len(paths) != count:
-        raise ValueError(f"header says {count} paths, file has {len(paths)}")
-    return paths, bound, met

@@ -301,14 +301,15 @@ def triangle_components(
     """
     if near is None:
         return [c.vertices for c in connected_components(g) if c.is_triangle]
-    found: set[tuple[int, int, int]] = set()
+    found = []
     for v in near:
         # a triangle component is three mutually adjacent vertices of degree 2
         if g.degree(v) == 2:
             a, b = g.neighbors(v)
             if g.degree(a) == 2 and g.degree(b) == 2 and g.has_edge(a, b):
-                found.add(tuple(sorted((v, a, b))))
-    return sorted(found)
+                found.append(tuple(sorted((v, a, b))))
+    # found once per member among `near`
+    return sorted(set(found)) if found else found
 
 
 def split_off(g, vertices: Iterable[int], skip: Iterable[int] = ()) -> list[list[int]]:

@@ -2,8 +2,8 @@
 
 Nothing here knows how a decomposition was produced. `verify_decomposition`
 re-derives everything from the host graph's edge set and the claimed paths,
-so it can certify output from the decomposer, from a file, or from a fuzzer's
-corruption pass alike. `minimum_decomposition` is an exhaustive oracle for
+so it can certify output from the decomposer, from a file (read by
+`parse_decomposition`), or from a fuzzer's corruption pass alike. `minimum_decomposition` is an exhaustive oracle for
 desk-scale graphs: it finds the true minimum number of paths, which brackets
 the decomposer's output from below in the acceptance suite.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Sequence
 
-from .graph import Graph, Path, Record
+from .graph import Graph, Path, Record, parse_digits
 
 FAILURE_KINDS = (
     "NotAPath",
@@ -61,6 +61,33 @@ class VerificationReport(Record):
             "bound": self.bound,
             "odd_lower_bound": self.odd_lower_bound,
         }
+
+
+def parse_decomposition(text: str) -> tuple[list[tuple[int, ...]], int, bool]:
+    """Parse the text format back into (paths, claimed_bound, met)."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("empty decomposition file")
+    head = lines[0].split()
+    if len(head) != 6 or head[0] != "paths" or head[2] != "bound" or head[4] != "met":
+        raise ValueError(f"bad header {lines[0]!r}")
+    try:
+        count, bound = parse_digits(head[1]), parse_digits(head[3])
+    except ValueError:
+        raise ValueError(f"bad header numbers in {lines[0]!r}") from None
+    if head[5] not in ("true", "false"):
+        raise ValueError(f"bad met flag {head[5]!r}")
+    met = head[5] == "true"
+    paths: list[tuple[int, ...]] = []
+    for ln in lines[1:]:
+        try:
+            paths.append(tuple(map(parse_digits, ln.split())))
+        except ValueError:
+            raise ValueError(f"bad path line {ln!r}") from None
+    if len(paths) != count:
+        raise ValueError(f"header says {count} paths, file has {len(paths)}")
+    return paths, bound, met
 
 
 def verify_decomposition(g: Graph, d) -> VerificationReport:

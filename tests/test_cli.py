@@ -1,5 +1,6 @@
 import errno
 import importlib
+import inspect
 import io
 import json
 import os
@@ -200,6 +201,30 @@ class TestVerifyCommand:
     def test_valid_round_trip(self, graph_file, tmp_path, capsys):
         g = graph_file(C4)
         d = self.decompose_to(g, tmp_path)
+        assert main(["verify", g, d]) == 0
+        assert capsys.readouterr().out.startswith("valid ")
+
+    def test_runs_no_decomposer_code(self, graph_file, tmp_path, monkeypatch, capsys):
+        # every function of gallai.decompose, methods too, is made to raise
+        # wherever it is bound; verify still reads and checks the certificate
+        g = graph_file(C4)
+        d = self.decompose_to(g, tmp_path)
+        module = importlib.import_module("gallai.decompose")
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("verify ran decomposer code")
+
+        owned = [x for x in vars(module).values() if getattr(x, "__module__", "") == module.__name__]
+        funcs = [f for x in owned if inspect.isclass(x) for f in vars(x).values()] + owned
+        funcs = [f.fget if isinstance(f, property) else f for f in funcs]
+        # a method that calls super() keeps a closure, which a new code object cannot
+        funcs = [f for f in funcs if inspect.isfunction(f) and f.__closure__ is None]
+        assert module.format_decomposition in funcs and module._Engine.solve in funcs
+        for f in funcs:
+            monkeypatch.setattr(f, "__code__", refuse.__code__)
+        with pytest.raises(AssertionError, match="decomposer code"):
+            module.decompose(parse_edge_list(C4))
+        capsys.readouterr()
         assert main(["verify", g, d]) == 0
         assert capsys.readouterr().out.startswith("valid ")
 

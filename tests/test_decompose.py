@@ -13,20 +13,21 @@ from gallai.decompose import (
     GeometryMismatch,
     InternalInvariantViolation,
     NoIntersectingPath,
+    TraceStep,
     TriangleNotComponent,
     _closest_pair,
     _Engine,
     _merge_cycle,
+    _steps,
     _WorkingGraph,
     absorb_triangles,
     decompose,
     format_decomposition,
     merge_cycle_with_triangle,
-    parse_decomposition,
 )
 from gallai.generate import FAMILIES, GenSpec, dense_instance, family, generate
 from gallai.graph import Cycle, Graph, NotTwoDegenerate, Path, is_cut_vertex, shortest_path
-from gallai.verify import verify_decomposition
+from gallai.verify import parse_decomposition, verify_decomposition
 
 
 def edges_of(paths):
@@ -305,7 +306,7 @@ class TestCutChecks:
         with pytest.raises(InternalInvariantViolation) as exc:
             method(*args)
         assert str(exc.value) == message
-        assert exc.value.steps == tuple(eng.steps)
+        assert exc.value.steps == _steps(eng.steps)
         assert [s.tag for s in exc.value.steps] == ["Base"]
 
     @pytest.mark.parametrize(
@@ -528,6 +529,56 @@ class TestWorkingGraph:
         monkeypatch.setattr(_Engine, "plan", checked)
         for host in corpus():
             decompose(host)
+
+    def test_buckets_hold_the_two_least_low_neighbours(self, monkeypatch):
+        plan = _Engine.plan
+
+        def checked(self, p):
+            w = self.w
+            w.flush()
+            for v, q in enumerate(w.owner):
+                if q is not None and v in q.verts:
+                    low = sorted(x for x in w.adj[v] if len(w.adj[x]) <= 2) + [w.none] * 2
+                    assert (w.low1[v], w.low2[v]) == (low[0], low[1]), v
+            return plan(self, p)
+
+        monkeypatch.setattr(_Engine, "plan", checked)
+        for host in corpus():
+            decompose(host)
+
+
+class TestTraceRows:
+    """The engine logs plain rows; a trace builds its steps when they are read."""
+
+    def test_rows_give_the_same_steps_every_time(self):
+        for g in corpus():
+            _dec, trace, _met = decompose(g)
+            hist = trace.histogram()  # counted from the rows, no step built yet
+            assert list(hist.items()) == list(Counter(s.tag for s in trace.steps).items())
+            again = decompose(g)[1]
+            assert again == trace and repr(again) == repr(trace)
+            assert again.to_json() == trace.to_json()
+
+    def test_an_engine_fault_carries_trace_steps(self, monkeypatch):
+        clean = [decompose(g)[1] for g in corpus()]
+        pieces = _Engine.pieces
+
+        def faulty(self, p, near):
+            if len(self.steps) >= 3:
+                raise KeyError("injected")
+            return pieces(self, p, near)
+
+        monkeypatch.setattr(_Engine, "pieces", faulty)
+        faults = 0
+        for g, trace in zip(corpus(), clean):
+            try:
+                decompose(g)
+            except InternalInvariantViolation as exc:
+                assert str(exc) == "KeyError: 'injected'"
+                assert all(type(s) is TraceStep for s in exc.steps)
+                assert exc.steps == trace.steps[: len(exc.steps)]
+                faults += 1
+        assert faults > len(clean) // 2
 
 
 class TestAbsorbTriangles:

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gallai.decompose import decompose, format_decomposition, parse_decomposition
+from gallai.decompose import decompose, format_decomposition
 from gallai.generate import GenSpec, _capped_strip, densify, generate
 from gallai.graph import (
     Graph,
@@ -24,6 +24,7 @@ from gallai.verify import (
     TooLarge,
     minimum_decomposition,
     odd_degree_lower_bound,
+    parse_decomposition,
     verify_decomposition,
 )
 
