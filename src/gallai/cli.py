@@ -29,7 +29,7 @@ from .decompose import (
 )
 from .generate import FAMILIES, GenSpec, dense_instance, family, generate
 from .graph import MAX_VERTICES, GraphError, Record, format_edge_list, parse_edge_list
-from .verify import TooLarge, minimum_decomposition, parse_decomposition, verify_decomposition
+from .verify import minimum_decomposition, parse_decomposition, verify_decomposition
 
 # family fixtures that pre-seed the fuzz histogram, at canonical sizes
 _SEED_FAMILIES = (
@@ -219,10 +219,7 @@ def run_fuzz(
             fail("BoundExceeded")
             continue
         if oracle_max_edges and g.m <= oracle_max_edges:
-            try:
-                best = minimum_decomposition(g, limit=oracle_max_edges)
-            except TooLarge:
-                continue
+            best = minimum_decomposition(g, limit=oracle_max_edges)
             if best.size > len(dec.paths):
                 fail("BelowOracleMinimum")
     return report

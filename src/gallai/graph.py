@@ -60,8 +60,9 @@ def norm_edge(u: int, v: int) -> Edge:
 class Record:
     """Base of the package's records: `__slots__` names the fields, which
     `__init__` sets through `object.__setattr__` (`_init` sets them all in
-    order), and `==`, `hash` and `repr` go by them. A later assignment raises
-    AttributeError unless the record restores `object.__setattr__`."""
+    order), and `==`, `hash`, `repr`, `copy` and `pickle` go by them. A later
+    assignment raises AttributeError unless the record restores
+    `object.__setattr__`."""
 
     __slots__ = ()
 
@@ -83,6 +84,11 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through `__init__`, which takes the fields
+        # in slot order, since restoring slots one by one would assign them
+        return (self.__class__, self._values())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -3,9 +3,10 @@
 Nothing here knows how a decomposition was produced. `verify_decomposition`
 re-derives everything from the host graph's edge set and the claimed paths,
 so it can certify output from the decomposer, from a file (read by
-`parse_decomposition`), or from a fuzzer's corruption pass alike. `minimum_decomposition` is an exhaustive oracle for
-desk-scale graphs: it finds the true minimum number of paths, which brackets
-the decomposer's output from below in the acceptance suite.
+`parse_decomposition`), or from a fuzzer's corruption pass alike.
+`minimum_decomposition` is an exact oracle for desk-scale graphs: it finds
+the true minimum number of paths, which brackets the decomposer's output
+from below in the acceptance suite.
 """
 
 from __future__ import annotations
@@ -174,15 +175,26 @@ class OracleResult(NamedTuple):
 
 
 def minimum_decomposition(g: Graph, limit: int = 16) -> OracleResult:
-    """Exact minimum path decomposition by branch and bound over edge masks.
+    """Exact minimum path decomposition by iterative deepening on the path
+    count over edge masks.
 
-    Branches on every simple path through the lowest-indexed remaining edge,
-    memoizes on the set of remaining edges, and prunes with the odd-degree
-    lower bound. The simple paths through edge i that use only edges >= i
-    are listed once per graph; a mask whose lowest edge is i takes, in list
-    order, the entries that lie inside it, which are exactly its paths
-    through i. Deterministic: the witness is the first minimum found under
-    sorted adjacency. Raises TooLarge when m exceeds `limit`.
+    `fits(mask, odd, k)` answers whether the edges of `mask` split into at
+    most k paths. It branches on the simple paths through the mask's lowest
+    edge and returns at the first whose rest fits in k - 1, pruning a rest
+    whose odd-degree lower bound is over k - 1. The budgets start at the
+    whole graph's lower bound and go up by one until one fits; that budget
+    is the minimum. Two caches keep only facts that hold at every budget:
+    the smallest budget known to fit a mask and the largest known not to.
+
+    The simple paths through edge i that use only edges >= i are listed
+    once per graph, the first time a mask whose lowest edge is i is
+    searched. A mask takes, in list order, the entries that lie inside it,
+    which are exactly its paths through that edge. The witness is rebuilt
+    from the whole edge set: at each mask of minimum k, it takes the first
+    entry in list order whose rest fits in k - 1, which is the first entry
+    reaching the minimum. So it is the first minimum under sorted adjacency,
+    deterministic and the same as an exhaustive search's that keeps the
+    first best branch. Raises TooLarge when m exceeds `limit`.
     """
     edges = list(g.edges())
     m = len(edges)
@@ -191,67 +203,98 @@ def minimum_decomposition(g: Graph, limit: int = 16) -> OracleResult:
     if m == 0:
         return OracleResult(0, OracleWitness(paths=(), claimed_bound=0))
 
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    # per vertex, sorted: (neighbour, its vertex bit, the edge's bit)
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
     for i, (a, b) in enumerate(edges):
-        adj[a].append((b, 1 << i))
-        adj[b].append((a, 1 << i))
+        adj[a].append((b, 1 << b, 1 << i))
+        adj[b].append((a, 1 << a, 1 << i))
     for lst in adj:
         lst.sort()
 
-    def grow(seq: tuple[int, ...], bits: int, mask: int, at_end: bool, out: list):
-        out.append((seq, bits))
-        tip = seq[-1] if at_end else seq[0]
-        for u, bit in adj[tip]:
-            if bit & mask and not bit & bits and u not in seq:
-                nxt = seq + (u,) if at_end else (u,) + seq
-                grow(nxt, bits | bit, mask, at_end, out)
-
-    def through(i: int) -> list[tuple[tuple[int, ...], int, int]]:
-        # Every simple path through edge i on edges >= i, each exactly once:
-        # fix the edge's orientation, extend rightward first, then leftward
-        # from each right-extension. Each entry carries its end-parity mask.
-        # Filtering a depth-first list to a mask keeps the depth-first order
-        # of the same search run inside that mask.
+    def through(i: int) -> list[tuple[int, int, int]]:
+        # Every simple path through edge i = (a, b) on edges >= i, each
+        # exactly once: extend rightward from b depth-first, and from each
+        # right extension leftward from a depth-first. Filtering this list
+        # to a mask keeps the depth-first order of the same search run
+        # inside that mask. An entry is (edge bits, end-parity bits, first
+        # vertex); `unroll` recovers the vertex sequence.
         a, b = edges[i]
-        above = ((1 << m) - 1) >> i << i
-        rights: list[tuple[tuple[int, ...], int]] = []
-        grow((a, b), 1 << i, above, True, rights)
-        full: list[tuple[tuple[int, ...], int]] = []
-        for seq, bits in rights:
-            grow(seq, bits, above, False, full)
-        return [(seq, bits, (1 << seq[0]) ^ (1 << seq[-1])) for seq, bits in full]
+        low = 1 << i
+        out: list[tuple[int, int, int]] = []
 
-    paths_from = [through(i) for i in range(m)]
-    memo: dict[int, int] = {0: 0}
-    choice: dict[int, tuple[tuple[int, ...], int]] = {}
+        def left(head: int, hbit: int, bits: int, seen: int, tbit: int) -> None:
+            out.append((bits, hbit ^ tbit, head))
+            for u, ubit, bit in adj[head]:
+                if bit >= low and not ubit & seen:
+                    left(u, ubit, bits | bit, seen | ubit, tbit)
 
-    def solve(mask: int, odd: int) -> int:
-        # odd: bitmask of the vertices of odd degree in the edges of mask
-        if mask in memo:
-            return memo[mask]
-        best = m + 1
+        def right(tail: int, tbit: int, bits: int, seen: int) -> None:
+            left(a, 1 << a, bits, seen, tbit)
+            for u, ubit, bit in adj[tail]:
+                if bit >= low and not ubit & seen:
+                    right(u, ubit, bits | bit, seen | ubit)
+
+        right(b, 1 << b, low, (1 << a) | (1 << b))
+        return out
+
+    paths_from: list[list[tuple[int, int, int]] | None] = [None] * m
+
+    def candidates(mask: int) -> list[tuple[int, int, int]]:
+        i = (mask & -mask).bit_length() - 1
+        found = paths_from[i]
+        if found is None:
+            found = paths_from[i] = through(i)
+        return found
+
+    fits_in: dict[int, int] = {}  # smallest budget known to fit the mask
+    fails_in: dict[int, int] = {}  # largest budget known not to
+
+    def fits(mask: int, odd: int, k: int) -> bool:
+        # k >= 1; odd: bitmask of the vertices of odd degree in mask's edges
+        if fits_in.get(mask, k + 1) <= k:
+            return True
+        if fails_in.get(mask, -1) >= k:
+            return False
+        if first(mask, odd, k - 1) is None:
+            fails_in[mask] = k
+            return False
+        fits_in[mask] = k
+        return True
+
+    def first(mask: int, odd: int, k: int) -> tuple[int, int, int] | None:
+        # The first entry through mask's lowest edge whose rest fits in k
+        # paths. A path flips the parity of its two ends only, and a nonempty
+        # rest with j odd vertices needs max(1, j / 2) paths, so it can fit
+        # only if k >= 1 and j <= 2k.
         outside = ~mask
-        for seq, bits, ends in paths_from[(mask & -mask).bit_length() - 1]:
-            if bits & outside:
-                continue
-            rest = mask ^ bits
-            # a path flips the parity of its two ends only
-            left = odd ^ ends
-            if 1 + ((left.bit_count() >> 1 or 1) if rest else 0) >= best:
-                continue
-            total = 1 + solve(rest, left)
-            if total < best:
-                best = total
-                choice[mask] = (seq, bits)
-        memo[mask] = best
-        return best
+        most = 2 * k if k else -1
+        for bits, ends, head in candidates(mask):
+            if not bits & outside and (
+                bits == mask
+                or (odd ^ ends).bit_count() <= most and fits(mask ^ bits, odd ^ ends, k)
+            ):
+                return bits, ends, head
+        return None
 
-    odd = sum(1 << v for v in range(g.n) if g.degree(v) % 2)
-    size = solve((1 << m) - 1, odd)
-    paths: list[Path] = []
+    def unroll(bits: int, head: int) -> Path:
+        seq = [head]
+        while bits:
+            for u, _, bit in adj[seq[-1]]:
+                if bit & bits:
+                    bits ^= bit
+                    seq.append(u)
+                    break
+        return Path(tuple(seq))
+
     mask = (1 << m) - 1
-    while mask:
-        seq, bits = choice[mask]
-        paths.append(Path(seq))
+    odd = sum(1 << v for v in range(g.n) if g.degree(v) % 2)
+    size = odd.bit_count() >> 1 or 1
+    while not fits(mask, odd, size):
+        size += 1
+    paths: list[Path] = []
+    for k in range(size - 1, -1, -1):
+        bits, ends, head = first(mask, odd, k)
+        paths.append(unroll(bits, head))
         mask ^= bits
+        odd ^= ends
     return OracleResult(size, OracleWitness(paths=tuple(paths), claimed_bound=size))

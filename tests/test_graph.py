@@ -1,10 +1,12 @@
+import copy
+import pickle
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gallai.cli import FuzzReport
-from gallai.decompose import Decomposition, ReductionTrace, TraceStep
+from gallai.decompose import Decomposition, ReductionTrace, TraceStep, decompose
 from gallai.generate import GenSpec, densify, generate
 from gallai.graph import (
     MAX_VERTICES,
@@ -178,6 +180,26 @@ class TestRecords:
                 hash(a)
         else:
             assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("rec, _twin, field", frozen_records(), ids=RECORD_IDS)
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles_are_equal_frozen_records(self, rec, _twin, field, clone):
+        twin = clone(rec)
+        assert type(twin) is type(rec) and twin == rec
+        with pytest.raises(AttributeError):
+            setattr(twin, field, getattr(twin, field))
+
+    def test_a_decomposed_trace_and_a_fuzz_report_pickle(self):
+        # the engine's trace holds rows until its steps are first read
+        _, trace, _ = decompose(generate(GenSpec(n=30, seed=4)))
+        twin = pickle.loads(pickle.dumps(trace))
+        assert twin == trace and twin.histogram() == trace.histogram()
+        report = FuzzReport(2, [{"seed": 1}], {"Base": 3}, 9)
+        assert pickle.loads(pickle.dumps(report)) == report
 
     def test_fields_decide_equality(self):
         assert Path((0, 1)) != Path((1, 0))

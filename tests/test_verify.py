@@ -10,7 +10,7 @@ import pytest
 import gallai.verify
 from gallai.decompose import decompose
 from gallai.generate import GenSpec, dense_instance, generate
-from gallai.graph import Graph, Path
+from gallai.graph import Graph, Path, connected_components, triangle_components
 from gallai.verify import (
     FAILURE_KINDS,
     Failure,
@@ -371,3 +371,76 @@ class TestOracle:
             size, witness = minimum_decomposition(g, limit=14)
             h.update(repr((size, [p.vertices for p in witness.paths])).encode())
         assert h.hexdigest() == LIMIT_WITNESS_DIGEST
+
+
+def brute_force_minimum(edges):
+    """The fewest labels that split `edges` into simple paths, found by
+    trying every labelling, independently of the oracle's search.
+
+    Labels are interchangeable, so each edge takes a label at most one above
+    the largest used so far (every set partition once). A label class is a
+    simple path when it is connected, has maximum degree 2 and one edge
+    fewer than its vertices."""
+
+    def is_path(cls):
+        degree = Counter(v for e in cls for v in e)
+        if max(degree.values()) > 2 or len(degree) != len(cls) + 1:
+            return False
+        reached = {cls[0][0]}
+        grew = True
+        while grew:
+            grew = False
+            for a, b in cls:
+                if (a in reached) != (b in reached):
+                    reached |= {a, b}
+                    grew = True
+        return len(reached) == len(degree)
+
+    def labellings(k, labels, top):
+        if len(labels) == len(edges):
+            yield labels
+            return
+        for c in range(min(top + 2, k)):
+            yield from labellings(k, labels + [c], max(top, c))
+
+    for k in range(1, len(edges) + 1):
+        for labels in labellings(k, [], -1):
+            classes = [
+                [e for e, c in zip(edges, labels) if c == label]
+                for label in range(max(labels) + 1)
+            ]
+            if all(is_path(cls) for cls in classes):
+                return k
+    raise AssertionError("one label per edge always splits into paths")
+
+
+def small_graphs():
+    """Seeded graphs with 1 to 7 edges: random edge sets on up to 8 vertices,
+    many disconnected, and every third with at most 4 of them beside a
+    triangle component."""
+    for s in range(240):
+        rng = random.Random(s)
+        n = rng.randint(3, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        m = rng.randint(1, min(7, len(pairs)))
+        edges = rng.sample(pairs, m)
+        if s % 3 == 0 and m <= 4:
+            edges += [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
+            n += 3
+        yield Graph.from_edges(n, edges)
+
+
+class TestOracleAgainstBruteForce:
+    def test_sizes_match_every_labelling(self):
+        graphs = list(small_graphs())
+        for g in graphs:
+            size, witness = minimum_decomposition(g)
+            edges = list(g.edges())
+            assert size == brute_force_minimum(edges), edges
+            assert len(witness.paths) == size
+            assert verify_decomposition(g, witness).valid
+        # the population reaches the edge cap and the shapes the oracle
+        # must sum over: several components, triangle components
+        assert max(g.m for g in graphs) == 7
+        assert sum(len(connected_components(g)) > 1 for g in graphs) >= 60
+        assert sum(bool(triangle_components(g)) for g in graphs) >= 40
