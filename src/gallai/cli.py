@@ -79,7 +79,8 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
     text = sys.stdin.read()
-    text.encode("ascii")  # raises on the first character a file's codec would refuse
+    if not text.isascii():
+        text.encode("ascii")  # raises on the first character a file's codec would refuse
     return text
 
 

@@ -15,7 +15,8 @@ Each branch removes a small carrier (path or short cycle) and leaves the
 pieces that remain on an explicit work stack; once they are decomposed, it
 absorbs any triangle components the removal created and reattaches the
 removed edges onto a piece's path ending at a known degree-1 vertex. Every
-step is logged in a ReductionTrace whose tags name the branch taken.
+step is logged in a ReductionTrace whose tags name the branch taken, as one
+flat tuple per step (see `_record`) until the trace is read.
 
 The pieces are components of one mutable copy of the graph from which the
 removed edges are deleted in place; each keeps its own counts, an index of
@@ -125,16 +126,35 @@ class TraceStep(Record):
         }
 
 
-def _record(rows: list[tuple], tag: str, vertices: dict[str, int], n: int, m: int, detail) -> None:
-    """Append a trace row, a TraceStep's fields in order, checking its tag
-    now; the step itself is built only when the trace is read."""
+def _record(
+    rows: list[tuple], tag: str, size: tuple[int, int], keys: tuple, values: tuple
+) -> None:
+    """Append a trace row, checking its tag now; the TraceStep is built only
+    when the trace is read.
+
+    A row is one flat tuple (tag, n, m, keys, *values), with no dict in it:
+    keys is (vertex names, detail names), a constant shared by every row
+    from one call site, and the values follow in that order.
+    """
     if tag not in BRANCH_TAGS:
         raise ValueError(f"unknown branch tag {tag!r}")
-    rows.append((tag, vertices, n, m, detail))
+    rows.append((tag, *size, keys, *values))
+
+
+def _step(row: tuple) -> TraceStep:
+    tag, n, m, (names, details) = row[:4]
+    cut = 4 + len(names)
+    return TraceStep(tag, dict(zip(names, row[4:cut])), n, m, dict(zip(details, row[cut:])))
+
+
+def _row(s: TraceStep) -> tuple:
+    """The row of a step, `_step`'s inverse."""
+    keys = (tuple(s.vertices), tuple(s.detail))
+    return (s.tag, s.n, s.m, keys, *s.vertices.values(), *s.detail.values())
 
 
 def _steps(rows: Iterable[tuple]) -> tuple[TraceStep, ...]:
-    return tuple(TraceStep(*row) for row in rows)
+    return tuple(map(_step, rows))
 
 
 class _TraceRows(Record):
@@ -146,15 +166,16 @@ class _TraceRows(Record):
 class ReductionTrace(_TraceRows):
     """Ordered record of every branch the decomposition took.
 
-    `decompose` hands it the engine's rows; `steps` builds their TraceSteps
-    on first read, and `histogram` counts the rows' tags without them.
+    `decompose` hands it the engine's rows, flat tuples with no dict in
+    them; `steps` builds their TraceSteps on first read (as `to_json` and
+    `==` do), and `histogram` counts the rows' tags without them.
     """
 
     __slots__ = ("steps",)
 
     def __init__(self, steps: tuple[TraceStep, ...]):
         self._init(steps)
-        object.__setattr__(self, "_rows", [s._values() for s in steps])
+        object.__setattr__(self, "_rows", [_row(s) for s in steps])
 
     def __getattr__(self, name: str):
         # reached only while the `steps` slot is unset
@@ -575,8 +596,8 @@ class _Engine:
     def fail(self, msg: str) -> InternalInvariantViolation:
         return InternalInvariantViolation(msg, _steps(self.steps))
 
-    def step(self, tag: str, size: tuple[int, int], vertices: dict[str, int], **detail) -> None:
-        _record(self.steps, tag, vertices, size[0], size[1], detail)
+    def step(self, tag: str, size: tuple[int, int], keys: tuple, *values) -> None:
+        _record(self.steps, tag, size, keys, values)
 
     def solve(self, piece: _Piece) -> list[Path]:
         """Decompose one connected non-triangle piece, depth first.
@@ -609,7 +630,12 @@ class _Engine:
                 if merge is not None:
                     cyc, u, v, size = merge
                     into = _merge_cycle(cyc, out, start, u, v)
-                    self.step("Subclaim1-Merge", size, {"u": u, "v": v}, cycle=cyc.ring, into=into)
+                    self.step(
+                        "Subclaim1-Merge",
+                        size,
+                        (("u", "v"), ("cycle", "into")),
+                        u, v, cyc.ring, into,
+                    )
                 out.extend(_absorb(item[5], tris, self.steps) if tris else item[5:])
                 if len(out) - start > n // 2:
                     raise self.fail(f"{len(out) - start} paths exceed floor({n}/2)")
@@ -630,7 +656,7 @@ class _Engine:
             return (), ((), None, ())
         if p.m == 1:
             u, v = sorted(p.low)
-            self.step("Base", p.size, {"u": u, "v": v})
+            self.step("Base", p.size, (("u", "v"), ()), u, v)
             g.delete([(u, v)])
             return (), ((), None, (), Path((u, v)))
         if len(p.verts) == 3:
@@ -638,7 +664,7 @@ class _Engine:
             low = sorted(p.low)
             mid = next(v for v in low if g.degree(v) == 2)
             a, b = (v for v in low if v != mid)
-            self.step("Base", p.size, {"mid": mid})
+            self.step("Base", p.size, (("mid",), ()), mid)
             g.delete([(a, mid), (mid, b)])
             return (), ((), None, (), Path((a, mid, b)))
 
@@ -702,7 +728,7 @@ class _Engine:
         self, p: _Piece, size: tuple[int, int], sides: Sequence[tuple[int, ...]]
     ) -> list[_Piece]:
         """Log p's split into `sides`, at the view size `size`, and divide it."""
-        self.step("ComponentSplit", size, {}, components=sides)
+        self.step("ComponentSplit", size, ((), ("components",)), sides)
         return self.w.divide(p, sides)
 
     def two_sides(
@@ -757,13 +783,18 @@ class _Engine:
         self,
         p: _Piece,
         tag: str,
-        vertices: dict[str, int],
+        keys: tuple,
+        bound: tuple[int, ...],
         carrier: Path,
         reattach: tuple[tuple[int, int], ...],
-        **detail,
+        extra: tuple = (),
     ) -> tuple[Sequence[_Piece], Finish]:
         """Remove the reattach edges, then the carrier; the finish reattaches,
         then absorbs the triangles the removal left.
+
+        The step's row holds the bound vertices, then the carrier, removed
+        edges, triangles and reattach pairs, then the extra values; keys
+        names them in that order.
 
         The view is connected, so every component left by a removal contains
         an endpoint of a removed edge: the searches start from those alone.
@@ -782,16 +813,7 @@ class _Engine:
         g.delete(edges)
         removed.sort()
         tris = tuple(triangle_components(g, near=touched))
-        self.step(
-            tag,
-            size,
-            vertices,
-            carrier=carrier.vertices,
-            removed=tuple(removed),
-            triangles=tris,
-            reattach=reattach,
-            **detail,
-        )
+        self.step(tag, size, keys, *bound, carrier.vertices, tuple(removed), tris, reattach, *extra)
         if tris:
             g.delete(e for t in tris for e in _triangle_edges(t))
         return self.pieces(p, touched), (reattach, None, tris, carrier)
@@ -863,10 +885,11 @@ class _Engine:
             return self.run_plan(
                 p,
                 "Claim1-Path",
-                {"u": u, "v": v},
+                (("u", "v"), ("carrier", "removed", "triangles", "reattach", "distance")),
+                (u, v),
                 Path(seq),
                 reattach=(),
-                distance=dist,
+                extra=(dist,),
             )
 
         ring = (u, v, ext_u) if dist == 1 else (u, core[1], v, ext_u)
@@ -888,7 +911,7 @@ class _Engine:
         g = self.w
         size = p.size
         tag = "Claim1-Cycle3" if len(cyc) == 3 else "Claim1-Cycle4"
-        self.step(tag, size, {"u": u, "v": v}, cycle=cyc.ring)
+        self.step(tag, size, (("u", "v"), ("cycle",)), u, v, cyc.ring)
         g.delete(cyc.edges())
         tris = triangle_components(g, near=cyc.ring)
         if len(tris) > 1:
@@ -900,10 +923,8 @@ class _Engine:
             self.step(
                 "Subclaim2-Merge",
                 size,
-                {"u": u, "v": v},
-                cycle=cyc.ring,
-                triangle=t,
-                merged=tuple(q.vertices for q in pair),
+                (("u", "v"), ("cycle", "triangle", "merged")),
+                u, v, cyc.ring, t, tuple(q.vertices for q in pair),
             )
             g.delete(_triangle_edges(t))
             return self.pieces(p, cyc.ring), ((), None, (), *pair)
@@ -924,7 +945,8 @@ class _Engine:
             return self.run_plan(
                 p,
                 "Claim2-Case1",
-                {"v": v, "x": x, "w": w, "z": z},
+                (("v", "x", "w", "z"), ("carrier", "removed", "triangles", "reattach")),
+                (v, x, w, z),
                 carrier,
                 reattach=((w, x), (x, v)),
             )
@@ -953,8 +975,8 @@ class _Engine:
             self.step(
                 "Claim2-Case2-OddOdd",
                 p.size,
-                {"v": v, "x": x, "w": w, "z": z},
-                sides=(comp_i, comp_j),
+                (("v", "x", "w", "z"), ("sides",)),
+                v, x, w, z, (comp_i, comp_j),
             )
             g.delete([norm_edge(v, x), norm_edge(x, w), norm_edge(x, z)])
             return self.pieces(p, (w, z)), ((), None, (), Path((w, x, z)), Path((v, x)))
@@ -977,9 +999,8 @@ class _Engine:
         self.step(
             "Claim2-Subcase2.1",
             size,
-            {"v": v, "x": x, "w": w, "z": z, "a": a, "b": b},
-            odd_side=j1,
-            even_side=j2,
+            (("v", "x", "w", "z", "a", "b"), ("odd_side", "even_side")),
+            v, x, w, z, a, b, j1, j2,
         )
         g.delete([norm_edge(v, x), norm_edge(x, w), norm_edge(x, z), norm_edge(w, a)])
         # Decompose the far side, the odd piece, and the even piece with w.
@@ -995,7 +1016,8 @@ class _Engine:
         return self.run_plan(
             p,
             "Claim2-Subcase2.2",
-            {"v": v, "x": x, "w": w, "z": z, "a": a, "b": b},
+            (("v", "x", "w", "z", "a", "b"), ("carrier", "removed", "triangles", "reattach")),
+            (v, x, w, z, a, b),
             carrier,
             reattach=((a, w), (w, x), (x, v)),
         )
@@ -1007,13 +1029,7 @@ class _Engine:
         size = p.size
         x, y = sorted(self.w.neighbors(v))
         comp_x, comp_y = self.two_sides(comps, x, y, f"Claim3: degree-2 articulation {v}")
-        self.step(
-            "Claim3",
-            size,
-            {"v": v, "x": x, "y": y},
-            x_side=comp_x,
-            y_side=comp_y,
-        )
+        self.step("Claim3", size, (("v", "x", "y"), ("x_side", "y_side")), v, x, y, comp_x, comp_y)
         # v stays on x's side with the edge vx; vy is reattached.
         pairs = ((v, y),)
         self.reattach(pairs)
@@ -1034,9 +1050,8 @@ class _Engine:
         self.step(
             "Claim4",
             size,
-            {"v": v, "x": x, "y": y, "z": z, "w": w},
-            a_side=comp_a,
-            b_side=comp_b,
+            (("v", "x", "y", "z", "w"), ("a_side", "b_side")),
+            v, x, y, z, w, comp_a, comp_b,
         )
         # Extend within the pieces: x's stub picks up xz, v's picks up vx.
         return self.split(p, size, (comp_a, comp_b)), (pairs, None, ())
@@ -1054,7 +1069,8 @@ class _Engine:
         return self.run_plan(
             p,
             "Case1-Deg3Neighbor",
-            {"v": v, "x": x, "z": z, "t": t},
+            (("v", "x", "z", "t"), ("carrier", "removed", "triangles", "reattach")),
+            (v, x, z, t),
             carrier,
             reattach=((x, z),),
         )
@@ -1078,7 +1094,8 @@ class _Engine:
         return self.run_plan(
             p,
             "Subcase2.1-Y3",
-            {"v": v, "x": x, "y": y, "z": z, "w": w},
+            (("v", "x", "y", "z", "w"), ("carrier", "removed", "triangles", "reattach")),
+            (v, x, y, z, w),
             carrier,
             reattach=((y, v), (v, x)),
         )
@@ -1098,7 +1115,8 @@ class _Engine:
         return self.run_plan(
             p,
             "Subcase2.2-Y4",
-            {"v": v, "x": x, "y": y, "z": z},
+            (("v", "x", "y", "z"), ("carrier", "removed", "triangles", "reattach")),
+            (v, x, y, z),
             carrier,
             reattach=((y, x), (x, v)),
         )
@@ -1110,6 +1128,11 @@ class _Engine:
 def _triangle_edges(t: Sequence[int]) -> list[Edge]:
     a, b, c = sorted(t)
     return [(a, b), (a, c), (b, c)]
+
+
+# the key tuples of `_absorb`'s rows, one per bound-vertex shape
+_LEMMA1_XYZW = (("x", "y", "z", "w"), ("triangle", "carrier", "q", "r"))
+_LEMMA1_XYZ = (("x", "y", "z"), ("triangle", "carrier", "q", "r"))
 
 
 def _absorb(
@@ -1143,7 +1166,7 @@ def _absorb(
             q = Path(verts[: hits[0] + 1] + (y, z, w))
             r = Path(verts[hits[0] : hits[2]][::-1] + verts[hits[2] :])
             tag = "Lemma1-Case1"
-            bound = {"x": x, "y": y, "z": z, "w": w}
+            keys, bound = _LEMMA1_XYZW, (x, y, z, w)
         elif len(hits) == 2:
             x, y = verts[hits[0]], verts[hits[1]]
             z = next(v for v in tri if v not in pos)
@@ -1151,24 +1174,18 @@ def _absorb(
             q = Path(verts[: hits[0] + 1] + (y, w))
             r = Path(verts[hits[0] : hits[1]][::-1] + (z,) + verts[hits[1] :])
             tag = "Lemma1-Case2"
-            bound = {"x": x, "y": y, "z": z, "w": w}
+            keys, bound = _LEMMA1_XYZW, (x, y, z, w)
         else:
             x = verts[hits[0]]
             y, z = sorted(v for v in tri if v not in pos)
             q = Path(verts[: hits[0] + 1] + (y, z))
             r = Path((z,) + verts[hits[0] :])
             tag = "Lemma1-Case3"
-            bound = {"x": x, "y": y, "z": z}
+            keys, bound = _LEMMA1_XYZ, (x, y, z)
 
         scope = set(verts).union(*(set(t) for t in triangles))
-        _record(
-            steps,
-            tag,
-            bound,
-            len(scope),
-            (len(verts) - 1) + len(triangles) * 3,
-            {"triangle": tri, "carrier": verts, "q": q.vertices, "r": r.vertices},
-        )
+        size = (len(scope), (len(verts) - 1) + len(triangles) * 3)
+        _record(steps, tag, size, keys, (*bound, tri, verts, q.vertices, r.vertices))
         out.append(q)
         p = r
         triangles = tuple(t for t in triangles if t != tri)
@@ -1253,10 +1270,7 @@ def decompose(g: Graph) -> tuple[Decomposition, ReductionTrace, bool]:
     n = sum(c.n for c in comps)  # the non-isolated vertices
     if len(comps) > 1:
         eng.step(
-            "ComponentSplit",
-            (n, g.m),
-            {},
-            components=tuple(c.vertices for c in comps),
+            "ComponentSplit", (n, g.m), ((), ("components",)), tuple(c.vertices for c in comps)
         )
     paths: list[Path] = []
     per_component = 0
@@ -1265,7 +1279,7 @@ def decompose(g: Graph) -> tuple[Decomposition, ReductionTrace, bool]:
         if c.is_triangle:
             a, b, cc = c.vertices
             paths.extend([Path((a, b, cc)), Path((a, cc))])
-            eng.step("Base", (3, 3), {}, triangle=c.vertices)
+            eng.step("Base", (3, 3), ((), ("triangle",)), c.vertices)
             per_component += 2
             met = False
         else:

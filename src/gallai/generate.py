@@ -113,14 +113,15 @@ def _draw(spec: GenSpec) -> list[set[int]]:
     # ids go in as `from_edges` adds the edge list (a, v) or (min, v), (max, v)
     # per vertex v, so each set iterates as in the graph built from that list
     nbrs: list[set[int]] = [set() for _ in range(spec.n)]
-    for v in range(1, spec.n):
+    ids = list(range(spec.n))  # one int per vertex id, shared by every set naming it
+    for v in ids[1:]:
         two = rand() < p2
         if skip and rand() < _P_SKIP:
             continue
         a = randrange(v)
         if not two or v == 1:
             nbrs[a].add(v)
-            nbrs[v].add(a)
+            nbrs[v].add(ids[a])
             continue
         # 21 is sample's pool limit for k <= 5: up to it, sample swaps the
         # first pick out of a list; past it, it redraws until it misses
@@ -135,7 +136,7 @@ def _draw(spec: GenSpec) -> list[set[int]]:
             a, b = b, a
         nbrs[a].add(v)
         nbrs[b].add(v)
-        nbrs[v].update((a, b))
+        nbrs[v].update((ids[a], ids[b]))
     return nbrs
 
 
@@ -148,9 +149,9 @@ def generate(spec: GenSpec) -> Graph:
     Vertex v draws its k <= 2 back-edges through `rng.randrange`, making
     exactly the draws, in the same order, that `sorted(rng.sample(range(v),
     k))` makes, so each seed gives the graph that sampling gave. The edges go
-    straight into neighbour sets as they are drawn (`_draw`), and the graph
-    is built from those sets without `from_edges`' checks, which no draw can
-    fail.
+    straight into neighbour sets as they are drawn (`_draw`), naming each
+    vertex by one shared int object, and the graph freezes those sets in
+    place without `from_edges`' checks, which no draw can fail.
     """
     nbrs = _draw(spec)
     return Graph.from_neighbor_sets(nbrs, sum(map(len, nbrs)) // 2)

@@ -12,6 +12,7 @@ The search primitives read a graph only through `neighbors`, `degree` and
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -113,24 +114,32 @@ class Graph(Record):
         if n > MAX_VERTICES:
             raise IdOutOfRange(f"vertex count {n} is over the limit of {MAX_VERTICES}")
         sets: list[set[int]] = [set() for _ in range(n)]
+        ids = list(range(n))  # one int per vertex id, shared by every set naming it
         m = 0
         for u, v in edges:
             if u == v:
                 raise SelfLoop(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise IdOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
-            if v in sets[u]:
+            near = sets[u]
+            if v in near:
                 raise DuplicateEdge(f"duplicate edge ({u}, {v})")
-            sets[u].add(v)
-            sets[v].add(u)
+            near.add(ids[v])
+            sets[v].add(ids[u])
             m += 1
         return cls.from_neighbor_sets(sets, m)
 
     @classmethod
-    def from_neighbor_sets(cls, sets: Sequence[Iterable[int]], m: int) -> "Graph":
+    def from_neighbor_sets(cls, sets: list[Collection[int]], m: int) -> "Graph":
         """Freeze neighbour sets that the caller built itself, unchecked: they
-        must be symmetric, loop-free, inside the universe and hold m edges."""
-        return cls(len(sets), tuple(frozenset(s) if s else _EMPTY for s in sets), m)
+        must be symmetric, loop-free, inside the universe and hold m edges.
+
+        The list is consumed: each set is replaced by its frozenset as that
+        is made, so the adjacency is never held twice.
+        """
+        for v, s in enumerate(sets):
+            sets[v] = frozenset(s) if s else _EMPTY
+        return cls(len(sets), tuple(sets), m)
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -150,10 +159,6 @@ class Graph(Record):
 
     def non_isolated_count(self) -> int:
         return sum(1 for nbrs in self._adj if nbrs)
-
-    def low_vertices(self) -> frozenset[int]:
-        """The vertices of degree 1 or 2."""
-        return frozenset(v for v, nbrs in enumerate(self._adj) if 0 < len(nbrs) <= 2)
 
     def without_edges(self, edges: Iterable[Edge]) -> "Graph":
         """Copy of this graph with the given edges masked out."""
@@ -502,14 +507,15 @@ def parse_edge_list(text: str) -> Graph:
     """
     n_header: int | None = None
     m_header = header_line = 0
-    edges: list[Edge] = []
+    # the edges' endpoints, two per edge, as machine ints: no object per id
+    ends: array[int] | list[int] = array("q")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if parts[0] == "p":
-            if n_header is not None or edges:
+            if n_header is not None or ends:
                 raise GraphError(f"line {lineno}: stray header")
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: header needs `p <n> <m>`")
@@ -525,15 +531,22 @@ def parse_edge_list(text: str) -> Graph:
             u, v = parse_digits(parts[0]), parse_digits(parts[1])
         except ValueError:
             raise GraphError(f"line {lineno}: endpoint not ASCII digits in {line!r}") from None
-        edges.append((u, v))
+        try:
+            ends.append(u)
+            ends.append(v)
+        except OverflowError:
+            # an id of 2^63 or more, which only an error message reads: go on
+            # with a list, less an endpoint of this edge the array took
+            ends = ends.tolist()[: len(ends) & ~1] + [u, v]
     if n_header is None:
-        n_header = 1 + max((max(u, v) for u, v in edges), default=-1)
-    elif m_header != len(edges):
+        n_header = 1 + max(ends, default=-1)
+    elif m_header != len(ends) // 2:
         raise GraphError(
-            f"line {header_line}: header says {m_header} edges, file has {len(edges)}"
+            f"line {header_line}: header says {m_header} edges, file has {len(ends) // 2}"
         )
+    pairs = iter(ends)
     try:
-        return Graph.from_edges(n_header, edges)
+        return Graph.from_edges(n_header, zip(pairs, pairs))
     except GraphError as exc:
         raise GraphError(str(exc)) from None
 

@@ -111,6 +111,23 @@ class TestDecomposeCommand:
             "error: vertex count 1000000000 is over the limit of 1000000\n"
         )
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "0 18446744073709551616\n",
+                "vertex count 18446744073709551617 is over the limit of 1000000",
+            ),
+            ("p 3 1\n0 9223372036854775808\n", "edge (0, 9223372036854775808) outside [0, 3)"),
+        ],
+    )
+    def test_ids_past_64_bits_exit_one(self, graph_file, capsys, text, message):
+        # ids no machine int holds are refused like any other, with no traceback
+        assert main(["decompose", graph_file(text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_invariant_violation_exits_five_with_trace(self, graph_file, capsys, monkeypatch):
         step = TraceStep(tag="Base", vertices={"u": 0, "v": 1}, n=2, m=1)
 

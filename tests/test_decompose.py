@@ -259,7 +259,8 @@ class TestInvariantGuards:
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
         eng = _Engine(g)
         with pytest.raises(InternalInvariantViolation, match="exposed a triangle component"):
-            eng.run_plan(eng.w.open(range(5)), "Claim2-Case1", {}, Path((3, 4)), [(3, 0)])
+            p = eng.w.open(range(5))
+            eng.run_plan(p, "Claim2-Case1", ((), ()), (), Path((3, 4)), [(3, 0)])
 
     def test_piece_loop_rejects_a_triangle_view(self, monkeypatch):
         # a host whose plan leaves an edge, then a triangle, as its pieces
@@ -298,7 +299,7 @@ class TestCutChecks:
             11, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (6, 7), (2, 8), (8, 9), (8, 10)]
         )
         eng = _Engine(g)
-        eng.step("Base", (2, 1), {"u": 6, "v": 7})
+        eng.step("Base", (2, 1), (("u", "v"), ()), 6, 7)
         return eng
 
     @staticmethod
@@ -558,6 +559,16 @@ class TestTraceRows:
             again = decompose(g)[1]
             assert again == trace and repr(again) == repr(trace)
             assert again.to_json() == trace.to_json()
+
+    def test_rows_hold_only_tuples_ints_and_strs(self):
+        def flat(x):
+            return all(map(flat, x)) if type(x) is tuple else type(x) in (int, str)
+
+        rows = [row for g in corpus() for row in decompose(g)[1]._rows]
+        assert all(type(row) is tuple and flat(row) for row in rows)
+        for _ in range(4):  # a collection may untrack one level of nesting
+            gc.collect()
+        assert not any(map(gc.is_tracked, rows))
 
     def test_an_engine_fault_carries_trace_steps(self, monkeypatch):
         clean = [decompose(g)[1] for g in corpus()]

@@ -102,7 +102,7 @@ def block_attempts(n, seed, p2):
         s = seed + 1000003 * k
         spec = GenSpec(n=n, seed=s, connect=True, p2=p2)
         g = densify(generate(spec), seed=s)
-        low = sorted(g.low_vertices())
+        low = lows(g)
         ok = len(low) == 1 and g.degree(low[0]) == 2 and not is_cut_vertex(g, low[0])
         yield spec, s, g, ok
         if ok:
@@ -114,7 +114,7 @@ def reference_block(n, seed, p2):
     full `densify` runs on `generate` graphs, each judged on a `Graph`."""
     for _spec, _s, g, ok in block_attempts(n, seed, p2):
         if ok:
-            return g, min(g.low_vertices())
+            return g, lows(g)[0]
     return _capped_strip(n), 0
 
 

@@ -73,9 +73,8 @@ class TestConstruction:
     def test_isolated_vertices_allowed(self):
         g = Graph.from_edges(6, [(0, 1)])
         assert g.non_isolated_count() == 2
-        assert g.low_vertices() == frozenset({0, 1})
         empty = Graph.from_edges(4, [])
-        assert empty.non_isolated_count() == 0 and empty.low_vertices() == frozenset()
+        assert empty.non_isolated_count() == 0
 
 
 class TestViews:
@@ -356,6 +355,56 @@ class TestTextFormat:
     def test_empty_input(self):
         g = parse_edge_list("")
         assert g.n == 0 and g.m == 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n18446744073709551616 2\n1 2\n", "vertex count 18446744073709551617 is"),
+            ("p 3 2\n0 1\n9223372036854775808 0\n", r"edge \(9223372036854775808, 0\) outside"),
+            ("p 3 3\n0 1\n1 0\n0 9223372036854775808\n", r"duplicate edge \(1, 0\)"),
+            ("p 9 2\n4 4\n0 99999999999999999999\n", "self-loop at 4"),
+        ],
+    )
+    def test_ids_past_64_bits_keep_the_error_order(self, text, message):
+        with pytest.raises(GraphError, match=message):
+            parse_edge_list(text)
+
+    def test_parsed_and_generated_graphs_hold_one_object_per_id(self):
+        drawn = generate(GenSpec(n=2_000, seed=3))
+        for g in (drawn, parse_edge_list(format_edge_list(drawn))):
+            seen: dict[int, int] = {}
+            for v in range(g.n):
+                for w in g.neighbors(v):
+                    assert seen.setdefault(w, id(w)) == id(w)
+            assert len(seen) == g.non_isolated_count()
+
+
+class TestBuildMemory:
+    """Building a graph holds little beyond the graph it returns: neighbour
+    sets are frozen in place, parsed endpoints are machine ints, and each
+    vertex id is one int object."""
+
+    @pytest.mark.parametrize("how", ["parse", "generate"])
+    def test_peak_stays_near_the_graph_size(self, how):
+        spec = GenSpec(n=20_000, seed=5, p2=0.6)
+        text = format_edge_list(generate(spec))
+        build = (lambda: parse_edge_list(text)) if how == "parse" else (lambda: generate(spec))
+        tracemalloc.start()
+        try:
+            g = build()
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == spec.n
+        # holding the sets and their frozensets at once, and a tuple and two
+        # int objects per edge, read 2.13 (parse) and 1.91 (generate)
+        assert peak <= 1.4 * size, (peak, size)
+
+    def test_from_neighbor_sets_consumes_its_list(self):
+        sets = [{1}, {0, 2}, {1}, set()]
+        g = Graph.from_neighbor_sets(sets, 2)
+        assert sets == list(g._adj) and all(type(s) is frozenset for s in sets)
+        assert g == Graph.from_edges(4, [(0, 1), (1, 2)])
 
 
 # -- the seeded probes ---------------------------------------------------------
